@@ -12,7 +12,7 @@ import os
 import numpy as np
 
 from .errors import MixedElementTypes, ParseError, UnsupportedElementType
-from .mesh import ElementType, Mesh
+from .mesh import NODES_PER_ELEMENT, ElementType, Mesh
 
 MEDIT_KEYWORDS = {
     "Triangles": ElementType.TRIANGLE,
@@ -29,10 +29,6 @@ VTK_CELL_TYPES = {
     12: ElementType.HEX,
 }
 VTK_CELL_CODE = {v: k for k, v in VTK_CELL_TYPES.items()}
-
-NODES = {ElementType.TRIANGLE: 3, ElementType.QUAD: 4,
-         ElementType.TET: 4, ElementType.HEX: 8}
-
 
 class _Tokens:
     """Whitespace token stream with line tracking for parse errors."""
@@ -121,7 +117,7 @@ def read_medit(text):
                 )
             element_type = etype
             count = tok.next_int("element count")
-            k = NODES[etype]
+            k = NODES_PER_ELEMENT[etype]
             elements = np.empty((count, k), dtype=np.int64)
             for i in range(count):
                 for d in range(k):
@@ -248,7 +244,7 @@ def read_vtk(text):
         raise UnsupportedElementType(f"unsupported VTK cell type {code}",
                                      line=tok.last_line)
     etype = VTK_CELL_TYPES[code]
-    k = NODES[etype]
+    k = NODES_PER_ELEMENT[etype]
     if any(len(c) != k for c in cells):
         raise ParseError(f"cell size does not match type {code}",
                          line=tok.last_line)
@@ -273,7 +269,7 @@ def write_vtk(mesh, fileobj):
     for coords in mesh.vertices:
         row = list(coords) + [0.0] * (3 - mesh.dimension)
         w(" ".join(_fmt(c) for c in row) + "\n")
-    k = NODES[mesh.element_type]
+    k = NODES_PER_ELEMENT[mesh.element_type]
     m = len(mesh.elements)
     w(f"CELLS {m} {m * (k + 1)}\n")
     for elem in mesh.elements:

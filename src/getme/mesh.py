@@ -122,15 +122,26 @@ class Mesh:
         )
 
 
+def _group(keys, values, n):
+    """Sorted arrays of `values` grouped by their integer key 0..n-1."""
+    order = np.argsort(keys, kind="stable")
+    splits = np.cumsum(np.bincount(keys, minlength=n))[:-1]
+    return [np.sort(part) for part in np.split(values[order], splits)]
+
+
 def build_adjacency(mesh):
     """Per-vertex arrays of incident element indices, duplicate-free."""
-    n_verts = len(mesh.vertices)
-    flat = mesh.elements.ravel()
     elem_ids = np.repeat(np.arange(len(mesh.elements)), mesh.elements.shape[1])
-    order = np.argsort(flat, kind="stable")
-    counts = np.bincount(flat, minlength=n_verts)
-    splits = np.cumsum(counts)[:-1]
-    return [np.sort(part) for part in np.split(elem_ids[order], splits)]
+    return _group(mesh.elements.ravel(), elem_ids, len(mesh.vertices))
+
+
+def edge_neighbors(mesh):
+    """Per-vertex arrays of the vertices sharing an element edge with it."""
+    pairs = ELEMENT_EDGES[mesh.element_type]
+    edges = np.concatenate([mesh.elements[:, list(p)] for p in pairs])
+    a, b = np.unique(np.sort(edges, axis=1), axis=0).T
+    return _group(np.concatenate([a, b]), np.concatenate([b, a]),
+                  len(mesh.vertices))
 
 
 def _boundary_facets(mesh):

@@ -1,13 +1,17 @@
 """Mesh smoothing driven by the regularizing triangle transformation.
 
-One algorithm per element type plus the SmartLaplace baseline.  All four
-transformation-based smoothers share the same outer loop: every element is
-transformed independently from a frozen vertex snapshot, flipped elements are
-reset when the orientation guard is active, and each interior vertex then
-moves to the arithmetic mean of its images across the incident elements.
-With the guard active, vertex moves that would invert an element are rolled
-back, so a guarded run never introduces new inverted elements.
-The loop stops once the mean-quality improvement drops below the error bound.
+One smoother, `smooth()`, for all four element types plus the SmartLaplace
+baseline.  Each element type is described by the triangles it is transformed
+through (`ELEMENT_TRIANGLES`): a triangle by itself, a quad by its four
+corner triangles, a tet by its four faces and a hex by the eight faces of its
+dual octahedron.  Every element is transformed independently from a frozen
+vertex snapshot, flipped elements are reset when the orientation guard is
+active, and each interior vertex then moves to the arithmetic mean of its
+images across the incident elements.  With the guard active, vertex moves
+that would invert an element are rolled back, so a guarded run never
+introduces new inverted elements.  The loop stops once the mean-quality
+improvement drops below the error bound.  Triangle meshes must be planar:
+nothing here projects a moved vertex back onto a surface.
 """
 
 from dataclasses import dataclass, field
@@ -22,16 +26,16 @@ from .geometry import (
     hex_face_barycenters,
     rescale_areas,
     transform_triangles,
-    triangle_normals,
 )
 from .mesh import (
-    ELEMENT_EDGES,
+    ELEMENT_FACES,
     ElementType,
     Mesh,
+    build_adjacency,
+    edge_neighbors,
     element_signed_measures,
     hex_corner_dets,
 )
-from .oscillator import is_convergent
 from .quality import element_qualities, QualityReport
 
 GUARD_RESET = "reset"
@@ -60,8 +64,10 @@ class SmootherConfig:
     """Knobs shared by all smoothers.
 
     inner_iterations=None picks the per-type default (3, or 10 for the quad
-    sub-triangles).  The guard resets elements whose orientation flips; it
-    may be disabled when convergent adaptive parameters are used.
+    sub-triangles).  The guard resets elements whose orientation flips and
+    rolls back vertex moves that would invert an element; guard="none" turns
+    both off.  `smooth()` checks that the gains give a valid transformation
+    (alpha2 > 0); SmartLaplace ignores the gains and the guard.
     """
 
     params: AdaptiveParams = STANDARD_PARAMS
@@ -79,10 +85,6 @@ class SmootherConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.guard not in (GUARD_RESET, GUARD_NONE):
             raise ValueError(f"unknown guard policy {self.guard!r}")
-        if self.guard == GUARD_NONE and not is_convergent(self.params):
-            raise ValueError(
-                "divergent transformation parameters require the guard"
-            )
 
     def inner_for(self, element_type):
         if self.inner_iterations is not None:
@@ -107,115 +109,82 @@ class SmoothingResult:
 
 
 # ---------------------------------------------------------------------------
-# Per-element transformations (batched over all elements of the mesh)
+# Per-element transformation (batched over all elements of the mesh)
 # ---------------------------------------------------------------------------
 
-
-def _transform_tri_batch(points, params, inner):
-    out = points
-    for _ in range(inner):
-        out = rescale_areas(out, transform_triangles(out, params))
-    return out
-
-
-#: Corner-spanning triangles of a quad; every quad vertex lies in exactly 3.
-QUAD_CORNER_TRIS = np.array([(0, 1, 2), (1, 2, 3), (2, 3, 0), (3, 0, 1)])
-
-#: For quad vertex j: the (triangle, slot) pairs holding its three images.
-_QUAD_VERTEX_IMAGES = [
-    [(t, s) for t in range(4) for s in range(3) if QUAD_CORNER_TRIS[t][s] == j]
-    for j in range(4)
-]
-
-
-def _transform_quad_batch(points, params, inner):
-    n = points.shape[0]
-    tris = points[:, QUAD_CORNER_TRIS, :].reshape(n * 4, 3, -1)
-    tris = _transform_tri_batch(tris, params, inner).reshape(n, 4, 3, -1)
-    new = np.empty_like(points)
-    for j, pairs in enumerate(_QUAD_VERTEX_IMAGES):
-        new[:, j] = sum(tris[:, t, s] for t, s in pairs) / len(pairs)
-    return new
-
-
-#: Outward faces of a positively oriented tetrahedron.
-TET_FACES = np.array([(0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2)])
-
-_TET_VERTEX_IMAGES = [
-    [(f, s) for f in range(4) for s in range(3) if TET_FACES[f][s] == j]
-    for j in range(4)
-]
-
-_OCTA_VERTEX_IMAGES = [
-    [(f, s) for f in range(8) for s in range(3) if OCTAHEDRON_FACES[f][s] == j]
-    for j in range(6)
-]
-
-
-def _closed_surface_pass(points, faces, vertex_images, params, inner):
-    """Smooth a batch of closed triangle surfaces: per pass, transform every
-    face and move each vertex to the barycenter of its face images."""
-    n = points.shape[0]
-    cur = points
-    for _ in range(inner):
-        tris = cur[:, faces, :].reshape(n * len(faces), 3, 3)
-        tris = transform_triangles(tris, params).reshape(n, len(faces), 3, 3)
-        new = np.empty_like(cur)
-        for j, pairs in enumerate(vertex_images):
-            new[:, j] = sum(tris[:, f, s] for f, s in pairs) / len(pairs)
-        cur = new
-    return cur
-
-
-def _rescale_volume(points, new_points, volumes_old, volumes_new):
-    """Scale each element about its centroid so its volume proxy matches."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.cbrt(np.abs(volumes_old / volumes_new))
-    c = new_points.mean(axis=1, keepdims=True)
-    return factor[:, None, None] * (new_points - c) + c
-
-
-def _transform_tet_batch(points, params, inner):
-    new = _closed_surface_pass(points, TET_FACES, _TET_VERTEX_IMAGES,
-                               params, inner)
-    d_old = points[:, 1:] - points[:, :1]
-    d_new = new[:, 1:] - new[:, :1]
-    return _rescale_volume(points, new, np.linalg.det(d_old),
-                           np.linalg.det(d_new))
-
-
-def _transform_hex_batch(points, params, inner):
-    octa = hex_face_barycenters(points)
-    octa = _closed_surface_pass(octa, OCTAHEDRON_FACES, _OCTA_VERTEX_IMAGES,
-                                params, inner)
-    new = octa[:, OCTAHEDRON_FACES, :].mean(axis=2)
-    return _rescale_volume(points, new, hex_corner_dets(points).sum(axis=-1),
-                           hex_corner_dets(new).sum(axis=-1))
-
-
-_ELEMENT_TRANSFORMS = {
-    ElementType.TRIANGLE: _transform_tri_batch,
-    ElementType.QUAD: _transform_quad_batch,
-    ElementType.TET: _transform_tet_batch,
-    ElementType.HEX: _transform_hex_batch,
+#: The triangles each element type is transformed through, as indices into
+#: its working points: the element's own vertices, or for a hex the six face
+#: barycenters that span its dual octahedron.
+ELEMENT_TRIANGLES = {
+    ElementType.TRIANGLE: np.array([(0, 1, 2)]),
+    ElementType.QUAD: np.array([(0, 1, 2), (1, 2, 3), (2, 3, 0), (3, 0, 1)]),
+    ElementType.TET: np.array(ELEMENT_FACES[ElementType.TET]),
+    ElementType.HEX: OCTAHEDRON_FACES,
 }
 
+#: For working point j, the flat (triangle, slot) positions of its images in
+#: triangle order; every working point has the same number of images.
+_IMAGE_SLOTS = {
+    etype: np.argsort(tris.ravel(), kind="stable").reshape(tris.max() + 1, -1)
+    for etype, tris in ELEMENT_TRIANGLES.items()
+}
 
-def _flip_mask(old_points, new_points, element_type):
-    """Elements whose orientation reversed relative to their snapshot."""
+#: Types whose triangles form a closed surface around the element.
+_CLOSED_SURFACES = (ElementType.TET, ElementType.HEX)
+
+
+def _orientation(points, element_type):
+    """Orientation measures per element, shape (n, k): the eight corner
+    determinants of a hex, the signed measure of any other element."""
     if element_type is ElementType.HEX:
-        return np.any(
-            np.sign(hex_corner_dets(new_points))
-            != np.sign(hex_corner_dets(old_points)),
-            axis=-1,
+        return hex_corner_dets(points)
+    return element_signed_measures(points, element_type)[:, None]
+
+
+def _transform(points, element_type, params, inner, orientation):
+    """Transform every element through its triangles.
+
+    Sub-triangles (tri, quad) get their area back after every pass and their
+    images are averaged once at the end.  Closed surfaces (tet, hex
+    octahedron) are averaged on every pass; the result is scaled about its
+    centroid to the volume given by `orientation`, the measures of `points`.
+    """
+    faces = ELEMENT_TRIANGLES[element_type]
+    slots = _IMAGE_SLOTS[element_type]
+    closed = element_type in _CLOSED_SURFACES
+    hexes = element_type is ElementType.HEX
+    cur = hex_face_barycenters(points) if hexes else points
+    n, dim = cur.shape[0], cur.shape[-1]
+
+    def average_images(tris):
+        return tris.reshape(n, -1, dim)[:, slots].sum(axis=2) / slots.shape[1]
+
+    tris = cur[:, faces].reshape(-1, 3, dim)
+    for _ in range(inner):
+        new = transform_triangles(tris, params)
+        if closed:
+            cur = average_images(new)
+            tris = cur[:, faces].reshape(-1, 3, dim)
+        else:
+            tris = rescale_areas(tris, new)
+    if not closed:
+        return average_images(tris)
+
+    if hexes:
+        cur = cur[:, OCTAHEDRON_FACES].mean(axis=2)
+    volumes = _orientation(cur, element_type).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = np.cbrt(np.abs(orientation.sum(axis=-1) / volumes))
+    c = cur.mean(axis=1, keepdims=True)
+    return factor[:, None, None] * (cur - c) + c
+
+
+def _require_planar(mesh):
+    if mesh.element_type is ElementType.TRIANGLE and mesh.dimension == 3:
+        raise InvalidMesh(
+            "3D triangle meshes cannot be smoothed: moved vertices are not "
+            "projected back onto the surface"
         )
-    if element_type is ElementType.TRIANGLE and old_points.shape[-1] == 3:
-        ref = triangle_normals(old_points)
-        m_new = element_signed_measures(new_points, element_type, ref)
-        return m_new <= 0.0
-    m_old = element_signed_measures(old_points, element_type)
-    m_new = element_signed_measures(new_points, element_type)
-    return np.sign(m_new) != np.sign(m_old)
 
 
 # ---------------------------------------------------------------------------
@@ -223,16 +192,10 @@ def _flip_mask(old_points, new_points, element_type):
 # ---------------------------------------------------------------------------
 
 
-def _check_type(mesh, expected):
-    if mesh.element_type is not expected:
-        raise InvalidMesh(
-            f"expected a {expected.value} mesh, got {mesh.element_type.value}"
-        )
-
-
-def _smooth_mesh(mesh, cfg, element_type):
-    _check_type(mesh, element_type)
-    transform = _ELEMENT_TRANSFORMS[element_type]
+def smooth(mesh, cfg=SmootherConfig()):
+    """Smooth a triangle (2D), quad, tet or hex mesh."""
+    _require_planar(mesh)
+    element_type = mesh.element_type
     inner = cfg.inner_for(element_type)
     guard_on = cfg.guard == GUARD_RESET
     cfg.params.require_transform_valid()
@@ -254,15 +217,18 @@ def _smooth_mesh(mesh, cfg, element_type):
 
     for it in range(1, cfg.max_iterations + 1):
         snapshot = verts[elems]
-        new = transform(snapshot, cfg.params, inner)
+        orientation = _orientation(snapshot, element_type)
+        sign = np.sign(orientation)
+        new = _transform(snapshot, element_type, cfg.params, inner,
+                         orientation)
 
         bad = ~np.all(np.isfinite(new.reshape(len(elems), -1)), axis=1)
         degenerate.update(np.flatnonzero(bad).tolist())
         if guard_on:
             safe = new.copy()
             safe[bad] = snapshot[bad]
-            flipped = _flip_mask(snapshot, safe, element_type)
-            bad = bad | flipped
+            bad |= np.any(np.sign(_orientation(safe, element_type)) != sign,
+                          axis=1)
         new = np.where(bad[:, None, None], snapshot, new)
         resets = int(bad.sum())
 
@@ -279,7 +245,9 @@ def _smooth_mesh(mesh, cfg, element_type):
             # until no new inversions remain (the rolled-back set only
             # grows, so this terminates).
             while True:
-                flipped = _flip_mask(snapshot, moved[elems], element_type)
+                flipped = np.any(
+                    np.sign(_orientation(moved[elems], element_type)) != sign,
+                    axis=1)
                 hit = np.flatnonzero(flipped)
                 if not len(hit):
                     break
@@ -306,51 +274,9 @@ def _smooth_mesh(mesh, cfg, element_type):
                            degenerate)
 
 
-def smooth_triangle_mesh(mesh, cfg=SmootherConfig()):
-    """Smooth a triangle mesh (2D, counter-clockwise elements)."""
-    return _smooth_mesh(mesh, cfg, ElementType.TRIANGLE)
-
-
-def smooth_quad_mesh(mesh, cfg=SmootherConfig()):
-    """Smooth a quad mesh via the four corner-spanning sub-triangles."""
-    return _smooth_mesh(mesh, cfg, ElementType.QUAD)
-
-
-def smooth_tet_mesh(mesh, cfg=SmootherConfig()):
-    """Smooth a tet mesh, treating each tet as a closed 4-triangle surface."""
-    return _smooth_mesh(mesh, cfg, ElementType.TET)
-
-
-def smooth_hex_mesh(mesh, cfg=SmootherConfig()):
-    """Smooth a hex mesh through its per-element dual octahedra."""
-    return _smooth_mesh(mesh, cfg, ElementType.HEX)
-
-
-def smooth(mesh, cfg=SmootherConfig()):
-    """Dispatch to the smoother matching the mesh's element type."""
-    dispatch = {
-        ElementType.TRIANGLE: smooth_triangle_mesh,
-        ElementType.QUAD: smooth_quad_mesh,
-        ElementType.TET: smooth_tet_mesh,
-        ElementType.HEX: smooth_hex_mesh,
-    }
-    return dispatch[mesh.element_type](mesh, cfg)
-
-
 # ---------------------------------------------------------------------------
 # SmartLaplace baseline
 # ---------------------------------------------------------------------------
-
-
-def _vertex_neighbors(mesh):
-    pairs = ELEMENT_EDGES[mesh.element_type]
-    edges = np.concatenate([mesh.elements[:, list(p)] for p in pairs])
-    edges = np.unique(np.sort(edges, axis=1), axis=0)
-    neighbors = [[] for _ in range(len(mesh.vertices))]
-    for a, b in edges:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    return [np.array(sorted(n), dtype=np.int64) for n in neighbors]
 
 
 def smart_laplace(mesh, cfg=SmootherConfig()):
@@ -361,20 +287,15 @@ def smart_laplace(mesh, cfg=SmootherConfig()):
     incident element.  Vertices are processed in index order on the current
     positions, which keeps runs bit-reproducible.
     """
-    neighbors = _vertex_neighbors(mesh)
-    incident = [[] for _ in range(len(mesh.vertices))]
-    for e, elem in enumerate(mesh.elements):
-        for v in elem:
-            incident[v].append(e)
+    _require_planar(mesh)
+    neighbors = edge_neighbors(mesh)
+    incident = build_adjacency(mesh)
     etype = mesh.element_type
 
     verts = mesh.vertices.copy()
     elems = mesh.elements
     interior = np.flatnonzero(~mesh.boundary_mask)
-    ref_normals = None
-    if etype is ElementType.TRIANGLE and mesh.dimension == 3:
-        ref_normals = triangle_normals(verts[elems])
-    ref_sign = np.sign(element_signed_measures(verts[elems], etype, ref_normals))
+    ref_sign = np.sign(element_signed_measures(verts[elems], etype))
 
     q = element_qualities(verts[elems], etype)
     trace = [(0, float(q.mean()), float(q.min()))]
@@ -389,8 +310,7 @@ def smart_laplace(mesh, cfg=SmootherConfig()):
             old = verts[v].copy()
             verts[v] = proposal
             idx = incident[v]
-            refs = ref_normals[idx] if ref_normals is not None else None
-            m = element_signed_measures(verts[elems[idx]], etype, refs)
+            m = element_signed_measures(verts[elems[idx]], etype)
             if np.any(np.sign(m) != ref_sign[idx]):
                 verts[v] = old
         q = element_qualities(verts[elems], etype)

@@ -16,12 +16,10 @@ from getme import (
     mesh_quality,
     smart_laplace,
     smooth,
-    smooth_hex_mesh,
-    smooth_quad_mesh,
-    smooth_tet_mesh,
-    smooth_triangle_mesh,
     validate,
+    write_mesh,
 )
+from getme.cli import run
 from getme.generators import FLIP_TRIANGLES, FLIP_VERTICES
 from getme.smoothing import GUARD_NONE
 
@@ -58,10 +56,12 @@ def test_config_validation():
         SmootherConfig(error_bound=0.0)
     with pytest.raises(ValueError):
         SmootherConfig(guard="maybe")
-    # dropping the guard is only allowed for convergent parameters
-    with pytest.raises(ValueError):
-        SmootherConfig(params=AdaptiveParams(0.1, 0.5), guard=GUARD_NONE)
-    SmootherConfig(params=AdaptiveParams(0.1, 0.5))
+    # the gains are checked where they are used: alpha2 = 2*0.1 - 0.5 < 0
+    # fails in smooth(), with or without the guard
+    for guard in (GUARD_NONE, "reset"):
+        cfg = SmootherConfig(params=AdaptiveParams(0.1, 0.5), guard=guard)
+        with pytest.raises(ValueError):
+            smooth(EQUILATERAL_MESH, cfg)
     cfg = SmootherConfig()
     assert cfg.inner_for(ElementType.TRIANGLE) == 3
     assert cfg.inner_for(ElementType.QUAD) == 10
@@ -75,21 +75,37 @@ def test_adaptive_config_presets():
 
 
 def test_regular_elements_are_fixed_points():
-    for mesh, smoother in [
-        (EQUILATERAL_MESH, smooth_triangle_mesh),
-        (SQUARE_QUAD, smooth_quad_mesh),
-        (REGULAR_TET, smooth_tet_mesh),
-        (UNIT_CUBE, smooth_hex_mesh),
-    ]:
-        result = smoother(mesh)
+    for mesh in (EQUILATERAL_MESH, SQUARE_QUAD, REGULAR_TET, UNIT_CUBE):
+        result = smooth(mesh)
         assert result.iterations_run == 1
         assert np.allclose(result.mesh.vertices, mesh.vertices, atol=1e-12)
 
 
 def test_smooth_dispatch_checks_type():
-    with pytest.raises(InvalidMesh):
-        smooth_quad_mesh(EQUILATERAL_MESH)
     assert smooth(EQUILATERAL_MESH).mesh == EQUILATERAL_MESH
+
+
+def tent():
+    """Four 3D triangles around an apex raised above a fixed square rim."""
+    verts = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0],
+             [0.0, 1.0, 0.0], [0.5, 0.5, 0.4]]
+    tris = [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]
+    return Mesh(verts, tris, "triangle", boundary_vertices=range(4))
+
+
+def test_3d_triangle_meshes_are_rejected(tmp_path):
+    # the smoothers do not project moved vertices back onto the surface
+    mesh = tent()
+    with pytest.raises(InvalidMesh):
+        smooth(mesh)
+    with pytest.raises(InvalidMesh):
+        smart_laplace(mesh)
+    src, out = tmp_path / "tent.mesh", tmp_path / "out.mesh"
+    write_mesh(mesh, src)
+    for smoother in ("getme", "smart-laplace"):
+        assert run(["smooth", "--in", str(src), "--out", str(out),
+                    "--smoother", smoother]) == 1
+        assert not out.exists()
 
 
 def test_boundary_vertices_never_move():
@@ -214,17 +230,46 @@ def test_smart_laplace_rejects_inverting_move():
     assert validate(result.mesh) == []
 
 
-def test_smoothing_commutes_with_rigid_motions():
-    mesh = generate(GeneratorSpec("jittered-square-tri", resolution=6,
-                                  jitter=0.4, seed=8))
-    ang = 0.7
-    rot = np.array([[math.cos(ang), -math.sin(ang)],
-                    [math.sin(ang), math.cos(ang)]])
-    shift = np.array([3.0, -2.0])
+def rotation_3d(axis, ang):
+    """Rotation by `ang` about the direction `axis` (Rodrigues' formula)."""
+    k = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    cross = np.array([[0.0, -k[2], k[1]],
+                      [k[2], 0.0, -k[0]],
+                      [-k[1], k[0], 0.0]])
+    return (np.eye(3) + math.sin(ang) * cross
+            + (1 - math.cos(ang)) * cross @ cross)
+
+
+RIGID_MOTION_MESHES = {
+    "tri": ("jittered-square-tri", 6, 0.4),
+    "quad": ("quad-grid-with-hole", 6, 0.3),
+    "tet": ("cube-tet", 3, 0.4),
+    "hex": ("cube-hex", 3, 0.3),
+}
+
+
+@pytest.mark.parametrize("preset", ["standard", "adaptive"])
+@pytest.mark.parametrize("kind", list(RIGID_MOTION_MESHES))
+def test_smoothing_commutes_with_rigid_motions(kind, preset):
+    generator, res, jitter = RIGID_MOTION_MESHES[kind]
+    mesh = generate(GeneratorSpec(generator, resolution=res, jitter=jitter,
+                                  seed=8))
+    if mesh.dimension == 2:
+        ang = 0.7
+        rot = np.array([[math.cos(ang), -math.sin(ang)],
+                        [math.sin(ang), math.cos(ang)]])
+        shift = np.array([3.0, -2.0])
+    else:
+        rot = rotation_3d((1.0, -2.0, 0.5), 0.7)
+        shift = np.array([3.0, -2.0, 0.5])
+    cfg = (adaptive_config(mesh.element_type) if preset == "adaptive"
+           else SmootherConfig())
     moved = mesh.with_vertices(mesh.vertices @ rot.T + shift)
-    a = smooth(moved).mesh.vertices
-    b = smooth(mesh).mesh.vertices @ rot.T + shift
-    assert np.allclose(a, b, atol=1e-9)
+    a = smooth(moved, cfg)
+    b = smooth(mesh, cfg)
+    assert np.allclose(a.mesh.vertices, b.mesh.vertices @ rot.T + shift,
+                       atol=1e-9)
+    assert a.iterations_run == b.iterations_run
 
 
 def test_smoothing_is_deterministic():

@@ -70,23 +70,33 @@ def _apply_jitter(mesh, amplitude, rng, max_rounds=60):
     return current if not validate(current) else mesh
 
 
+def _grid(n, corners):
+    """The unit square or cube split into n cells per side.
+
+    `corners` (m, k, dim) lists m elements per cell, each by the lattice
+    offsets (x, y[, z]) of its k corners from the cell's lowest corner.
+    Returns the vertices and the elements, cell by cell.  Vertices and cells
+    are numbered x-fastest in 2D and z-fastest in 3D; the jitter draws
+    follow the vertex order.
+    """
+    corners = np.asarray(corners)
+    dim = corners.shape[-1]
+    order = slice(None, None, -1) if dim == 2 else slice(None)
+
+    def lattice(m):
+        return np.indices((m,) * dim).reshape(dim, -1).T[:, order]
+
+    # A lattice point's vertex id is its dot product with the strides.
+    strides = ((n + 1) ** np.arange(dim)[::-1])[order]
+    verts = np.linspace(0.0, 1.0, n + 1)[lattice(n + 1)]
+    elements = (lattice(n)[:, None, None] + corners) @ strides
+    return verts, elements.reshape(-1, corners.shape[1])
+
+
 def _square_tri(resolution):
-    n = resolution
-    xs = np.linspace(0.0, 1.0, n + 1)
-    vx, vy = np.meshgrid(xs, xs, indexing="xy")
-    verts = np.column_stack([vx.ravel(), vy.ravel()])
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    mesh = Mesh(verts, np.array(tris), ElementType.TRIANGLE)
+    verts, tris = _grid(resolution, [((0, 0), (1, 0), (1, 1)),
+                                     ((0, 0), (1, 1), (0, 1))])
+    mesh = Mesh(verts, tris, ElementType.TRIANGLE)
     return mesh, detect_boundary(mesh)
 
 
@@ -118,39 +128,16 @@ def _disk_tri(resolution):
 
 def _quad_grid_with_hole(resolution):
     n = resolution
-    xs = np.linspace(0.0, 1.0, n + 1)
-    vx, vy = np.meshgrid(xs, xs, indexing="xy")
-    verts = np.column_stack([vx.ravel(), vy.ravel()])
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    quads = []
+    verts, quads = _grid(n, [((0, 0), (1, 0), (1, 1), (0, 1))])
+    j, i = np.divmod(quads[:, 0], n + 1)  # lowest corner j (n + 1) + i
     hole_r = 0.25
-    for j in range(n):
-        for i in range(n):
-            cx, cy = (i + 0.5) / n, (j + 0.5) / n
-            if (cx - 0.5) ** 2 + (cy - 0.5) ** 2 < hole_r**2:
-                continue
-            quads.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)))
-    quads = np.array(quads)
+    quads = quads[((i + 0.5) / n - 0.5) ** 2 + ((j + 0.5) / n - 0.5) ** 2
+                  >= hole_r**2]
     used = np.unique(quads)
     remap = -np.ones(len(verts), dtype=np.int64)
     remap[used] = np.arange(len(used))
     mesh = Mesh(verts[used], remap[quads], ElementType.QUAD)
     return mesh, detect_boundary(mesh)
-
-
-def _cube_grid(resolution):
-    n = resolution
-    xs = np.linspace(0.0, 1.0, n + 1)
-    vx, vy, vz = np.meshgrid(xs, xs, xs, indexing="ij")
-    verts = np.column_stack([vx.ravel(), vy.ravel(), vz.ravel()])
-
-    def vid(i, j, k):
-        return (i * (n + 1) + j) * (n + 1) + k
-
-    return verts, vid, n
 
 
 #: Kuhn subdivision of the unit cube into six positively oriented tetrahedra;
@@ -164,33 +151,20 @@ _KUHN_TETS = (
     ((0, 0, 0), (1, 0, 1), (1, 0, 0), (1, 1, 1)),
 )
 
+#: The hex cell: bottom face counter-clockwise, then the top face above it.
+_CUBE_CORNERS = ((
+    (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
+    (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1),
+),)
+
 
 def _cube_tet(resolution):
-    verts, vid, n = _cube_grid(resolution)
-    tets = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for tet in _KUHN_TETS:
-                    tets.append(tuple(
-                        vid(i + di, j + dj, k + dk) for di, dj, dk in tet
-                    ))
-    mesh = Mesh(verts, np.array(tets), ElementType.TET)
+    mesh = Mesh(*_grid(resolution, _KUHN_TETS), ElementType.TET)
     return mesh, detect_boundary(mesh)
 
 
 def _cube_hex(resolution):
-    verts, vid, n = _cube_grid(resolution)
-    hexes = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                bottom = [vid(i, j, k), vid(i + 1, j, k),
-                          vid(i + 1, j + 1, k), vid(i, j + 1, k)]
-                top = [vid(i, j, k + 1), vid(i + 1, j, k + 1),
-                       vid(i + 1, j + 1, k + 1), vid(i, j + 1, k + 1)]
-                hexes.append(bottom + top)
-    mesh = Mesh(verts, np.array(hexes), ElementType.HEX)
+    mesh = Mesh(*_grid(resolution, _CUBE_CORNERS), ElementType.HEX)
     return mesh, detect_boundary(mesh)
 
 

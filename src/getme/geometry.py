@@ -6,6 +6,7 @@ any non-degenerate triangle to an equilateral one.  All functions here are pure
 and accept either a single element or a leading batch axis.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,8 @@ class AdaptiveParams:
     this module pairs it with the successor.  The weights sum to
     2 alpha0 - alpha1 - alpha2, which the constraint on alpha2 makes zero;
     the equilateral triangle is therefore a fixed point up to rotation and
-    scale about its centroid.  Construction only requires positivity of
-    alpha0 and alpha1 so that the spectral analysis can scan the whole
+    scale about its centroid.  Construction only requires alpha0 and alpha1
+    to be positive and finite so that the spectral analysis can scan the whole
     quadrant; the transformation itself additionally requires alpha2 > 0.
     """
 
@@ -38,8 +39,8 @@ class AdaptiveParams:
     alpha1: float = 1.0
 
     def __post_init__(self):
-        if not (self.alpha0 > 0 and self.alpha1 > 0):
-            raise ValueError("alpha0 and alpha1 must be positive")
+        if not (0 < self.alpha0 < math.inf and 0 < self.alpha1 < math.inf):
+            raise ValueError("alpha0 and alpha1 must be positive and finite")
 
     @property
     def alpha2(self):
@@ -130,11 +131,9 @@ def transform_triangle(tri, params=STANDARD_PARAMS):
 def triangle_areas(tris):
     """Unsigned triangle areas; works for 2D and 3D vertices."""
     tris = np.asarray(tris, dtype=float)
-    u = tris[..., 1, :] - tris[..., 0, :]
-    v = tris[..., 2, :] - tris[..., 0, :]
     if tris.shape[-1] == 2:
-        return 0.5 * np.abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
-    return 0.5 * np.linalg.norm(np.cross(u, v), axis=-1)
+        return np.abs(signed_areas_2d(tris))
+    return 0.5 * np.linalg.norm(triangle_normals(tris), axis=-1)
 
 
 def signed_areas_2d(tris):
@@ -160,9 +159,7 @@ def rescale_area(tri_orig, tri_new):
     orig_b, single = _as_batch(tri_orig)
     new_b, _ = _as_batch(tri_new)
     a_new = triangle_areas(new_b)
-    edge = np.linalg.norm(
-        new_b - np.roll(new_b, 1, axis=-2), axis=-1
-    ).max(axis=-1)
+    edge = edge_lengths(new_b).max(axis=-1)
     if np.any(a_new <= EPS_DEGENERATE * edge**2):
         raise DegenerateElement("cannot rescale a (near-)zero-area triangle")
     out = rescale_areas(orig_b, new_b)
@@ -186,11 +183,14 @@ def edge_lengths(tris):
 
 
 def distortion(tri):
-    """Shortest over longest edge length, in (0, 1]; 1 for equilateral."""
+    """Shortest over longest edge length, in [0, 1]; 1 for equilateral.
+
+    Works on any polygon given by its vertices in order.
+    """
     lengths = edge_lengths(tri)
     lmax = lengths.max(axis=-1)
     if np.any(lmax == 0.0):
-        raise DegenerateElement("triangle has zero-length edges")
+        raise DegenerateElement("element has zero maximal edge length")
     return lengths.min(axis=-1) / lmax
 
 

@@ -56,10 +56,24 @@ class _Tokens:
     def next_int(self, what):
         tok, line = self.next(what)
         try:
-            return int(tok)
+            value = int(tok)
+            # Magnitudes below 2**63 still fit int64 after Medit's shift to
+            # 0-based indices.
+            if abs(value) < 2**63:
+                return value
         except ValueError:
-            raise ParseError(f"expected integer {what}, got {tok!r}",
-                             line=line, token=tok) from None
+            pass
+        raise ParseError(f"expected 64-bit integer {what}, got {tok!r}",
+                         line=line, token=tok)
+
+    def next_count(self, what, row_size):
+        """A count of rows of `row_size` tokens each; it must not be
+        negative, and the rows must fit in the tokens that remain."""
+        count = self.next_int(what)
+        if count < 0 or count * row_size > len(self.items) - self.pos:
+            raise ParseError(f"{what} {count} is negative or exceeds the "
+                             "data that follows", line=self.last_line)
+        return count
 
     def next_float(self, what):
         tok, line = self.next(what)
@@ -102,7 +116,7 @@ def read_medit(text):
         elif keyword == "Vertices":
             if dimension is None:
                 raise ParseError("Vertices before Dimension", line=line)
-            count = tok.next_int("vertex count")
+            count = tok.next_count("vertex count", dimension + 1)
             vertices = np.empty((count, dimension))
             for i in range(count):
                 for d in range(dimension):
@@ -116,8 +130,8 @@ def read_medit(text):
                     f"{keyword} after {MEDIT_SECTION[element_type]}", line=line
                 )
             element_type = etype
-            count = tok.next_int("element count")
             k = NODES_PER_ELEMENT[etype]
+            count = tok.next_count("element count", k + 1)
             elements = np.empty((count, k), dtype=np.int64)
             for i in range(count):
                 for d in range(k):
@@ -188,24 +202,32 @@ def read_vtk(text):
     while not tok.exhausted():
         section, line = tok.next("section")
         if section == "POINTS":
-            n = tok.next_int("point count")
+            n = tok.next_count("point count", 3)
             tok.next("point data type")
             points = np.empty((n, 3))
             for i in range(n):
                 for d in range(3):
                     points[i, d] = tok.next_float("coordinate")
         elif section == "CELLS":
-            n = tok.next_int("cell count")
-            tok.next_int("cell list size")
+            n = tok.next_count("cell count", 1)
+            size = tok.next_count("cell list size", 1)
+            start = tok.pos
             cells = []
             for _ in range(n):
-                k = tok.next_int("cell size")
+                k = tok.next_count("cell size", 1)
                 cells.append([tok.next_int("vertex index") for _ in range(k)])
+            if tok.pos - start != size:
+                raise ParseError(f"cell list size {size} does not match the "
+                                 f"{tok.pos - start} tokens of the cells",
+                                 line=tok.last_line)
         elif section == "CELL_TYPES":
-            n = tok.next_int("cell type count")
+            n = tok.next_count("cell type count", 1)
             cell_types = [tok.next_int("cell type") for _ in range(n)]
         elif section == "POINT_DATA":
-            count = tok.next_int("point data count")
+            count = tok.next_count("point data count", 1)
+            if points is None or count != len(points):
+                raise ParseError("POINT_DATA count does not match POINTS",
+                                 line=line)
             kind, line = tok.next("point data section")
             if kind != "SCALARS":
                 raise ParseError(f"unsupported point data {kind!r}", line=line)

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateElement
-from .geometry import HEX_CORNER_TETS
+from .geometry import HEX_CORNER_TETS, distortion
 from .mesh import ElementType
 
 #: Edge matrix of the regular reference tetrahedron (unit edge length).
@@ -30,12 +29,7 @@ HISTOGRAM_BINS = 20
 
 def quality_edge_ratio(points):
     """Min over max boundary-edge length of a triangle or quad, in [0, 1]."""
-    points = np.asarray(points, dtype=float)
-    lengths = np.linalg.norm(np.roll(points, -1, axis=-2) - points, axis=-1)
-    lmax = lengths.max(axis=-1)
-    if np.any(lmax == 0.0):
-        raise DegenerateElement("element has zero maximal edge length")
-    return lengths.min(axis=-1) / lmax
+    return distortion(points)
 
 
 def _mean_ratio_from_edge_matrix(s):

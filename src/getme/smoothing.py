@@ -1,19 +1,24 @@
 """Mesh smoothing driven by the regularizing triangle transformation.
 
 One smoother, `smooth()`, for all four element types plus the SmartLaplace
-baseline.  Each element type is described by the triangles it is transformed
-through (`ELEMENT_TRIANGLES`): a triangle by itself, a quad by its four
-corner triangles, a tet by its four faces and a hex by the eight faces of its
-dual octahedron.  Every element is transformed independently from a frozen
-vertex snapshot, flipped elements are reset when the orientation guard is
-active, and each interior vertex then moves to the arithmetic mean of its
-images across the incident elements.  With the guard active, vertex moves
-that would invert an element are rolled back, so a guarded run never
-introduces new inverted elements.  The loop stops once the mean-quality
-improvement drops below the error bound.  Triangle meshes must be planar:
-nothing here projects a moved vertex back onto a surface.
+baseline, both run by one outer loop that checks the preconditions, records
+the quality trace and stops once the mean-quality improvement drops below
+the error bound.  Each element type is described by the triangles it is
+transformed through (`ELEMENT_TRIANGLES`): a triangle by itself, a quad by
+its four corner triangles, a tet by its four faces and a hex by the eight
+faces of its dual octahedron.  Every element is transformed independently
+from a frozen vertex snapshot, flipped elements are reset when the
+orientation guard is active, and each interior vertex then moves to the
+arithmetic mean of its images across the incident elements.  With the guard
+active, vertex moves that would invert an element are rolled back, so a
+guarded run never introduces new inverted elements; the rollback's last
+pass measures the orientation the next iteration starts from, so each
+accepted vertex state is measured once.  Meshes must have elements, and
+triangle meshes must be planar: nothing here projects a moved vertex back
+onto a surface.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,8 +84,8 @@ class SmootherConfig:
     def __post_init__(self):
         if self.inner_iterations is not None and self.inner_iterations < 1:
             raise ValueError("inner_iterations must be >= 1")
-        if self.error_bound <= 0:
-            raise ValueError("error_bound must be positive")
+        if not 0 < self.error_bound < math.inf:
+            raise ValueError("error_bound must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.guard not in (GUARD_RESET, GUARD_NONE):
@@ -179,76 +184,95 @@ def _transform(points, element_type, params, inner, orientation):
     return factor[:, None, None] * (cur - c) + c
 
 
-def _require_planar(mesh):
-    if mesh.element_type is ElementType.TRIANGLE and mesh.dimension == 3:
-        raise InvalidMesh(
-            "3D triangle meshes cannot be smoothed: moved vertices are not "
-            "projected back onto the surface"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Outer loop
 # ---------------------------------------------------------------------------
 
 
+def _iterate(mesh, cfg, steps, guard_resets=(), degenerate=()):
+    """The outer loop both smoothers share.
+
+    `steps` yields the vertex array after each iteration; it is advanced
+    only once the preconditions hold, and it may update the array it last
+    yielded in place.  The loop stops after `cfg.max_iterations`, or once
+    the mean quality gains less than `cfg.error_bound`.  `guard_resets` and
+    `degenerate` are what the steps recorded, copied into the result.
+    """
+    if mesh.element_type is ElementType.TRIANGLE and mesh.dimension == 3:
+        raise InvalidMesh(
+            "3D triangle meshes cannot be smoothed: moved vertices are not "
+            "projected back onto the surface"
+        )
+    if not len(mesh.elements):
+        raise InvalidMesh("cannot smooth a mesh without elements")
+    etype, elems = mesh.element_type, mesh.elements
+    verts = mesh.vertices
+    q = element_qualities(verts[elems], etype)
+    trace = [(0, float(q.mean()), float(q.min()))]
+    for it in range(1, cfg.max_iterations + 1):
+        verts = next(steps)
+        q = element_qualities(verts[elems], etype)
+        trace.append((it, float(q.mean()), float(q.min())))
+        if trace[it][1] - trace[it - 1][1] < cfg.error_bound:
+            break
+    report = QualityReport.from_qualities(q, trace)
+    return SmoothingResult(mesh.with_vertices(verts), report, len(trace) - 1,
+                           list(guard_resets), set(degenerate))
+
+
 def smooth(mesh, cfg=SmootherConfig()):
     """Smooth a triangle (2D), quad, tet or hex mesh."""
-    _require_planar(mesh)
+    cfg.params.require_transform_valid()
+    guard_resets, degenerate = [], set()
+    steps = _getme_steps(mesh, cfg, guard_resets, degenerate)
+    return _iterate(mesh, cfg, steps, guard_resets, degenerate)
+
+
+def _getme_steps(mesh, cfg, guard_resets, degenerate):
+    """Simultaneous transform-and-average iterations of `smooth()`."""
     element_type = mesh.element_type
     inner = cfg.inner_for(element_type)
     guard_on = cfg.guard == GUARD_RESET
-    cfg.params.require_transform_valid()
+    verts, elems = mesh.vertices, mesh.elements
+    counts = np.bincount(elems.ravel(), minlength=len(verts))
+    pinned = ((counts == 0) | mesh.boundary_mask)[:, None]
+    counts = np.maximum(counts, 1)[:, None]
+    orientation = None
 
-    verts = mesh.vertices.copy()
-    elems = mesh.elements
-    dim = mesh.dimension
-    counts = np.bincount(elems.ravel(), minlength=len(verts)).astype(float)
-    isolated = counts == 0
-    counts[isolated] = 1.0
-    fixed = mesh.boundary_mask
-
-    q = element_qualities(verts[elems], element_type)
-    trace = [(0, float(q.mean()), float(q.min()))]
-    mean_prev = trace[0][1]
-    guard_resets = []
-    degenerate = set()
-    iterations = 0
-
-    for it in range(1, cfg.max_iterations + 1):
+    while True:
         snapshot = verts[elems]
-        orientation = _orientation(snapshot, element_type)
+        if orientation is None:
+            orientation = _orientation(snapshot, element_type)
         sign = np.sign(orientation)
         new = _transform(snapshot, element_type, cfg.params, inner,
                          orientation)
 
+        # Non-finite images are already bad, and every measure is taken row
+        # by row, so the guard can measure `new` as it is.
         bad = ~np.all(np.isfinite(new.reshape(len(elems), -1)), axis=1)
         degenerate.update(np.flatnonzero(bad).tolist())
         if guard_on:
-            safe = new.copy()
-            safe[bad] = snapshot[bad]
-            bad |= np.any(np.sign(_orientation(safe, element_type)) != sign,
+            bad |= np.any(np.sign(_orientation(new, element_type)) != sign,
                           axis=1)
         new = np.where(bad[:, None, None], snapshot, new)
         resets = int(bad.sum())
 
         acc = np.zeros_like(verts)
-        np.add.at(acc, elems.ravel(), new.reshape(-1, dim))
-        moved = acc / counts[:, None]
-        moved[isolated] = verts[isolated]
-        moved[fixed] = verts[fixed]
+        np.add.at(acc, elems.ravel(), new.reshape(-1, verts.shape[1]))
+        moved = np.where(pinned, verts, acc / counts)
 
+        orientation = None
         if guard_on:
             # Averaging images of neighboring elements can still invert an
             # element even when every image is valid; roll the vertices of
             # any newly inverted element back to their previous positions
             # until no new inversions remain (the rolled-back set only
-            # grows, so this terminates).
+            # grows, so this terminates).  The last pass measures the final
+            # `moved` on either exit, so the next iteration starts from it.
             while True:
-                flipped = np.any(
-                    np.sign(_orientation(moved[elems], element_type)) != sign,
-                    axis=1)
-                hit = np.flatnonzero(flipped)
+                orientation = _orientation(moved[elems], element_type)
+                hit = np.flatnonzero(
+                    np.any(np.sign(orientation) != sign, axis=1))
                 if not len(hit):
                     break
                 roll = np.unique(elems[hit])
@@ -259,19 +283,7 @@ def smooth(mesh, cfg=SmootherConfig()):
 
         guard_resets.append(resets)
         verts = moved
-
-        q = element_qualities(verts[elems], element_type)
-        mean_new, min_new = float(q.mean()), float(q.min())
-        trace.append((it, mean_new, min_new))
-        iterations = it
-        if mean_new - mean_prev < cfg.error_bound:
-            break
-        mean_prev = mean_new
-
-    result_mesh = mesh.with_vertices(verts)
-    report = QualityReport.from_qualities(q, trace)
-    return SmoothingResult(result_mesh, report, iterations, guard_resets,
-                           degenerate)
+        yield verts
 
 
 # ---------------------------------------------------------------------------
@@ -287,22 +299,18 @@ def smart_laplace(mesh, cfg=SmootherConfig()):
     incident element.  Vertices are processed in index order on the current
     positions, which keeps runs bit-reproducible.
     """
-    _require_planar(mesh)
+    return _iterate(mesh, cfg, _laplace_steps(mesh))
+
+
+def _laplace_steps(mesh):
     neighbors = edge_neighbors(mesh)
     incident = build_adjacency(mesh)
-    etype = mesh.element_type
-
+    etype, elems = mesh.element_type, mesh.elements
     verts = mesh.vertices.copy()
-    elems = mesh.elements
     interior = np.flatnonzero(~mesh.boundary_mask)
     ref_sign = np.sign(element_signed_measures(verts[elems], etype))
 
-    q = element_qualities(verts[elems], etype)
-    trace = [(0, float(q.mean()), float(q.min()))]
-    mean_prev = trace[0][1]
-    iterations = 0
-
-    for it in range(1, cfg.max_iterations + 1):
+    while True:
         for v in interior:
             if not len(neighbors[v]):
                 continue
@@ -313,14 +321,4 @@ def smart_laplace(mesh, cfg=SmootherConfig()):
             m = element_signed_measures(verts[elems[idx]], etype)
             if np.any(np.sign(m) != ref_sign[idx]):
                 verts[v] = old
-        q = element_qualities(verts[elems], etype)
-        mean_new, min_new = float(q.mean()), float(q.min())
-        trace.append((it, mean_new, min_new))
-        iterations = it
-        if mean_new - mean_prev < cfg.error_bound:
-            break
-        mean_prev = mean_new
-
-    result_mesh = mesh.with_vertices(verts)
-    report = QualityReport.from_qualities(q, trace)
-    return SmoothingResult(result_mesh, report, iterations, [], set())
+        yield verts

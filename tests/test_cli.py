@@ -100,6 +100,17 @@ def test_usage_errors_exit_1(capsys):
                 "--out", "x.mesh"]) == 1
 
 
+def test_non_finite_settings_exit_1(tmp_path):
+    m, out = tmp_path / "m.mesh", tmp_path / "out.mesh"
+    run(["generate", "--kind", "jittered-square-tri", "--resolution", "6",
+         "--jitter", "0.3", "--seed", "3", "--out", str(m)])
+    for flags in (["--error-bound", "nan"], ["--error-bound", "inf"],
+                  ["--alpha0", "inf", "--alpha1", "1"]):
+        assert run(["smooth", "--in", str(m), "--smoother", "getme",
+                    "--out", str(out)] + flags) == 1, flags
+        assert not out.exists()
+
+
 def test_io_errors_exit_2(tmp_path, capsys):
     assert run(["quality", "--in", str(tmp_path / "missing.mesh")]) == 2
     bad = tmp_path / "bad.mesh"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -151,8 +153,9 @@ def test_adaptive_params_validation():
     assert np.isclose(p.alpha2, 0.05)
     with pytest.raises(ValueError):
         AdaptiveParams(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        AdaptiveParams(0.0, 1.0)
+    for alpha0, alpha1 in ((0.0, 1.0), (math.inf, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            AdaptiveParams(alpha0, alpha1)
     # alpha2 <= 0 is constructible (spectral scans) but not transformable
     bad = AdaptiveParams(1.0, 2.8)
     with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from getme import (
     read_mesh,
     write_mesh,
 )
+from getme.cli import run
 from getme.io import detect_format, read_medit, read_vtk
 
 ALL_KINDS = ("jittered-square-tri", "disk-tri", "quad-grid-with-hole",
@@ -169,3 +170,73 @@ def test_fuzzed_truncation_raises_parse_error(tmp_path, ext):
         assert np.array_equal(back.elements, mesh.elements), cut
         if ext == ".mesh":
             assert back == mesh, cut
+
+
+MEDIT_TRIANGLE = """MeshVersionFormatted 2
+Dimension
+2
+Vertices
+3
+0 0 1
+1 0 1
+0 1 1
+Triangles
+1
+1 2 3 0
+End
+"""
+
+VTK_TRIANGLE = """# vtk DataFile Version 3.0
+t
+ASCII
+DATASET UNSTRUCTURED_GRID
+POINTS 3 double
+0 0 0
+1 0 0
+0 1 0
+CELLS 1 4
+3 0 1 2
+CELL_TYPES 1
+5
+POINT_DATA 3
+SCALARS boundary int 1
+LOOKUP_TABLE default
+1
+1
+1
+"""
+
+#: Malformed counts and integers, as a file name and (old, new) text pairs.
+#: Before the count checks these raised bare ValueError, MemoryError or
+#: OverflowError, or were accepted.
+MALFORMED = {
+    "medit-negative-vertices": ("m.mesh", "Vertices\n3", "Vertices\n-3"),
+    "medit-negative-elements": ("m.mesh", "Triangles\n1", "Triangles\n-1"),
+    "medit-huge-vertices": ("m.mesh", "Vertices\n3",
+                            "Vertices\n100000000000000"),
+    "medit-index-beyond-int64": ("m.mesh", "1 2 3 0",
+                                 "1 2 99999999999999999999 0"),
+    "vtk-negative-points": ("m.vtk", "POINTS 3", "POINTS -3"),
+    "vtk-point-data-short": ("m.vtk", "POINT_DATA 3", "POINT_DATA 2",
+                             "1\n1\n1\n", "1\n1\n"),
+    "vtk-point-data-negative": ("m.vtk", "POINT_DATA 3", "POINT_DATA -1",
+                                "1\n1\n1\n", ""),
+    "vtk-cell-list-size": ("m.vtk", "CELLS 1 4", "CELLS 1 9"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_counts_raise_parse_error(tmp_path, capsys, case):
+    name, *edits = MALFORMED[case]
+    reader, text = ((read_medit, MEDIT_TRIANGLE) if name.endswith(".mesh")
+                    else (read_vtk, VTK_TRIANGLE))
+    reader(text)  # the unedited file reads
+    for old, new in zip(edits[::2], edits[1::2]):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    with pytest.raises(ParseError):
+        reader(text)
+    path = tmp_path / name
+    path.write_text(text)
+    assert run(["quality", "--in", str(path)]) == 2
+    assert "error: line" in capsys.readouterr().err

@@ -52,8 +52,9 @@ UNIT_CUBE = all_boundary(Mesh(
 def test_config_validation():
     with pytest.raises(ValueError):
         SmootherConfig(inner_iterations=0)
-    with pytest.raises(ValueError):
-        SmootherConfig(error_bound=0.0)
+    for bound in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SmootherConfig(error_bound=bound)
     with pytest.raises(ValueError):
         SmootherConfig(guard="maybe")
     # the gains are checked where they are used: alpha2 = 2*0.1 - 0.5 < 0
@@ -106,6 +107,33 @@ def test_3d_triangle_meshes_are_rejected(tmp_path):
         assert run(["smooth", "--in", str(src), "--out", str(out),
                     "--smoother", smoother]) == 1
         assert not out.exists()
+
+
+def test_empty_mesh_is_rejected():
+    empty = Mesh(np.zeros((0, 2)), np.zeros((0, 3)), "triangle")
+    for smoother in (smooth, smart_laplace):
+        with pytest.raises(InvalidMesh):
+            smoother(empty)
+
+
+def fan_with_degenerate_triangle():
+    """A fan around one interior vertex, plus a zero-area triangle on one
+    rim edge whose third vertex is that edge's midpoint, and so its
+    centroid."""
+    verts = [[0.1, 0.05], [1, 0], [0, 1], [-1, 0], [0, -1], [0.5, 0.5]]
+    tris = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1], [2, 1, 5]]
+    return Mesh(verts, tris, "triangle", boundary_vertices=range(1, 5))
+
+
+@pytest.mark.parametrize("guard", ["reset", GUARD_NONE])
+def test_degenerate_element_is_reported_and_kept_finite(guard):
+    mesh = fan_with_degenerate_triangle()
+    result = smooth(mesh, SmootherConfig(guard=guard))
+    assert result.degenerate_elements == {4}
+    assert np.all(np.isfinite(result.mesh.vertices))
+    # the free midpoint has only the degenerate triangle's image, which is
+    # reset to its snapshot
+    assert np.array_equal(result.mesh.vertices[5], mesh.vertices[5])
 
 
 def test_boundary_vertices_never_move():
@@ -177,21 +205,31 @@ def test_flip_mesh_guard_prevents_inversion():
     assert sum(result.guard_resets) >= 1
 
 
-def test_iteration_trace_recorded():
+SMOOTHERS = {"smooth": smooth, "smart_laplace": smart_laplace}
+
+
+@pytest.mark.parametrize("smoother", sorted(SMOOTHERS))
+def test_iteration_trace_recorded(smoother):
     mesh = generate(GeneratorSpec("jittered-square-tri", resolution=5,
                                   jitter=0.3, seed=5))
-    result = smooth(mesh)
+    result = SMOOTHERS[smoother](mesh)
     trace = result.report.iteration_trace
     assert trace[0][0] == 0
     assert trace[-1][0] == result.iterations_run
     assert trace[0][1] == pytest.approx(mesh_quality(mesh).mean)
+    capped = SMOOTHERS[smoother](mesh, SmootherConfig(max_iterations=1))
+    assert capped.iterations_run == 1
+    assert [row[0] for row in capped.report.iteration_trace] == [0, 1]
 
 
-def test_stopping_rule_respects_error_bound():
+@pytest.mark.parametrize("smoother", sorted(SMOOTHERS))
+def test_stopping_rule_respects_error_bound(smoother):
     mesh = generate(GeneratorSpec("jittered-square-tri", resolution=5,
                                   jitter=0.3, seed=5))
-    tight = smooth(mesh, SmootherConfig(error_bound=1e-9, max_iterations=500))
-    loose = smooth(mesh, SmootherConfig(error_bound=1e-2))
+    run_with = SMOOTHERS[smoother]
+    tight = run_with(mesh, SmootherConfig(error_bound=1e-9,
+                                          max_iterations=500))
+    loose = run_with(mesh, SmootherConfig(error_bound=1e-2))
     assert loose.iterations_run <= tight.iterations_run
 
 

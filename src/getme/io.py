@@ -137,6 +137,10 @@ def read_medit(text):
                 for d in range(k):
                     elements[i, d] = tok.next_int("vertex index") - 1
                 tok.next_int("element reference")
+        elif keyword == "Edges":
+            count = tok.next_count("edge count", 3)
+            for _ in range(3 * count):
+                tok.next_int("edge entry")
         elif keyword == "End":
             saw_end = True
             break
@@ -198,6 +202,7 @@ def read_vtk(text):
     cells = None
     cell_types = None
     boundary_flags = None
+    data_section = data_count = None
 
     while not tok.exhausted():
         section, line = tok.next("section")
@@ -223,29 +228,41 @@ def read_vtk(text):
         elif section == "CELL_TYPES":
             n = tok.next_count("cell type count", 1)
             cell_types = [tok.next_int("cell type") for _ in range(n)]
-        elif section == "POINT_DATA":
-            count = tok.next_count("point data count", 1)
-            if points is None or count != len(points):
-                raise ParseError("POINT_DATA count does not match POINTS",
+        elif section in ("POINT_DATA", "CELL_DATA"):
+            owners = points if section == "POINT_DATA" else cells
+            data_count = tok.next_count(f"{section} count", 1)
+            if owners is None or data_count != len(owners):
+                owner = "POINTS" if section == "POINT_DATA" else "CELLS"
+                raise ParseError(f"{section} count does not match {owner}",
                                  line=line)
-            kind, line = tok.next("point data section")
-            if kind != "SCALARS":
-                raise ParseError(f"unsupported point data {kind!r}", line=line)
+            data_section = section
+        elif section == "SCALARS":
+            if data_section is None:
+                raise ParseError("SCALARS outside POINT_DATA or CELL_DATA",
+                                 line=line)
             name, _ = tok.next("scalar name")
             tok.next("scalar type")
+            components = 1
             nxt, line = tok.next("LOOKUP_TABLE")
             if nxt != "LOOKUP_TABLE":  # optional component count
                 try:
-                    int(nxt)
+                    components = int(nxt)
                 except ValueError:
                     raise ParseError("expected LOOKUP_TABLE",
                                      line=line, token=nxt) from None
+                if not 1 <= components <= 4:
+                    raise ParseError(f"SCALARS {name} has {components} "
+                                     "components, not 1 to 4", line=line)
                 nxt, line = tok.next("LOOKUP_TABLE")
             if nxt != "LOOKUP_TABLE":
                 raise ParseError("expected LOOKUP_TABLE", line=line, token=nxt)
             tok.next("lookup table name")
-            values = [tok.next_float("scalar value") for _ in range(count)]
-            if name == "boundary":
+            values = [tok.next_float("scalar value")
+                      for _ in range(data_count * components)]
+            if name == "boundary" and data_section == "POINT_DATA":
+                if components != 1:
+                    raise ParseError("the boundary array must have one "
+                                     "component", line=line)
                 boundary_flags = np.array(values) != 0
         else:
             raise ParseError(f"unsupported section {section!r}",

@@ -295,9 +295,11 @@ def smart_laplace(mesh, cfg=SmootherConfig()):
     """Laplacian smoothing with element-inversion rejection.
 
     Every interior vertex is moved to the barycenter of its edge-connected
-    neighbors; a move is discarded if it would flip the orientation of any
-    incident element.  Vertices are processed in index order on the current
-    positions, which keeps runs bit-reproducible.
+    neighbors; a move is discarded if it changes the sign of the measure of
+    any incident element.  Vertices are processed in index order on the
+    current positions, which keeps runs bit-reproducible.  Planar meshes
+    (tri, quad) are swept on Python floats in numpy's exact operation
+    order, so both sweeps give the bits of a per-vertex numpy loop.
     """
     return _iterate(mesh, cfg, _laplace_steps(mesh))
 
@@ -307,18 +309,80 @@ def _laplace_steps(mesh):
     incident = build_adjacency(mesh)
     etype, elems = mesh.element_type, mesh.elements
     verts = mesh.vertices.copy()
-    interior = np.flatnonzero(~mesh.boundary_mask)
     ref_sign = np.sign(element_signed_measures(verts[elems], etype))
+    # (vertex, sorted neighbors, incident elements) for each movable vertex
+    movable = [(v, neighbors[v], incident[v])
+               for v in np.flatnonzero(~mesh.boundary_mask).tolist()
+               if len(neighbors[v])]
+    sweeps = (_planar_laplace_steps if etype in _PLANAR_MEASURES
+              else _volume_laplace_steps)
+    return sweeps(verts, elems, etype, ref_sign, movable)
 
+
+def _volume_laplace_steps(verts, elems, etype, ref_sign, movable):
+    """Tet and hex sweeps: each move is checked by the numpy measures of the
+    vertex's incident elements, gathered once."""
+    plan = [(v, nb, elems[inc], ref_sign[inc]) for v, nb, inc in movable]
     while True:
-        for v in interior:
-            if not len(neighbors[v]):
-                continue
-            proposal = verts[neighbors[v]].mean(axis=0)
+        for v, nb, conn, sign in plan:
             old = verts[v].copy()
-            verts[v] = proposal
-            idx = incident[v]
-            m = element_signed_measures(verts[elems[idx]], etype)
-            if np.any(np.sign(m) != ref_sign[idx]):
+            # the same bits as verts[nb].mean(axis=0)
+            verts[v] = np.add.reduce(verts[nb]) / len(nb)
+            m = element_signed_measures(verts[conn], etype)
+            if (np.sign(m) != sign).any():
                 verts[v] = old
+        yield verts
+
+
+def _triangle_measure(pts, ids):
+    """`element_signed_measures` of one 2D triangle, on Python floats."""
+    a, b, c = ids
+    (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
+    ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
+    return 2.0 * (0.5 * (ux * vy - uy * vx))
+
+
+def _quad_measure(pts, ids):
+    """`element_signed_measures` of one quad, on Python floats; numpy sums
+    the four cross terms left to right."""
+    a, b, c, d = ids
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = pts[a], pts[b], pts[c], pts[d]
+    return 0.5 * ((((ax * by - bx * ay) + (bx * cy - cx * by))
+                   + (cx * dy - dx * cy)) + (dx * ay - ax * dy))
+
+
+_PLANAR_MEASURES = {
+    ElementType.TRIANGLE: _triangle_measure,
+    ElementType.QUAD: _quad_measure,
+}
+
+
+def _planar_laplace_steps(verts, elems, etype, ref_sign, movable):
+    """Tri and quad sweeps on Python floats.
+
+    The proposal sums the sorted neighbors left to right from 0.0, as
+    `mean(axis=0)` does, so a sum of -0.0s gives 0.0.  A move is
+    rejected as `np.sign(m) != ref_sign` would: on a NaN on either side, or
+    on any other sign than the reference's.
+    """
+    measure = _PLANAR_MEASURES[etype]
+    pts = verts.tolist()
+    rows, signs = elems.tolist(), ref_sign.tolist()
+    plan = [(v, nb.tolist(), [(rows[e], signs[e]) for e in inc.tolist()])
+            for v, nb, inc in movable]
+    while True:
+        for v, nb, elements in plan:
+            x = y = 0.0
+            for u in nb:
+                ux, uy = pts[u]
+                x += ux
+                y += uy
+            old = pts[v]
+            pts[v] = (x / len(nb), y / len(nb))
+            for ids, sign in elements:
+                m = measure(pts, ids)
+                if (m > 0.0) - (m < 0.0) != sign or m != m:
+                    pts[v] = old
+                    break
+        verts[:] = pts
         yield verts

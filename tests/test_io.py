@@ -206,6 +206,11 @@ LOOKUP_TABLE default
 1
 """
 
+FOO_SCALARS = "SCALARS foo float\nLOOKUP_TABLE default\n0.5\n-1\n2e3\n"
+CELL_IDS = "SCALARS id int 1\nLOOKUP_TABLE default\n7\n"
+VECTOR_SCALARS = ("SCALARS velocity double 3\nLOOKUP_TABLE default\n"
+                  "1 0 0\n0 1 0\n0 0 1\n")
+
 #: Malformed counts and integers, as a file name and (old, new) text pairs.
 #: Before the count checks these raised bare ValueError, MemoryError or
 #: OverflowError, or were accepted.
@@ -222,18 +227,56 @@ MALFORMED = {
     "vtk-point-data-negative": ("m.vtk", "POINT_DATA 3", "POINT_DATA -1",
                                 "1\n1\n1\n", ""),
     "vtk-cell-list-size": ("m.vtk", "CELLS 1 4", "CELLS 1 9"),
+    "vtk-cell-data-count": ("m.vtk", "1\n1\n1\n",
+                            "1\n1\n1\nCELL_DATA 2\n" + CELL_IDS),
+    "vtk-scalars-components-short": (
+        "m.vtk", "1\n1\n1\n",
+        "1\n1\n1\nSCALARS velocity double 3\nLOOKUP_TABLE default\n1\n0\n0\n"),
+    "vtk-boundary-components": ("m.vtk", "boundary int 1",
+                                "boundary int 2", "1\n1\n1\n",
+                                "1 0\n1 0\n1 0\n"),
+    "medit-edges-count": ("m.mesh", "Triangles", "Edges\n5\n1 2 0\nTriangles"),
 }
+
+#: Legal additions this package does not write, as a file name and (old,
+#: new) text pairs; the edited file must read as the plain one does.
+EXTENDED = {
+    "vtk-second-scalars": ("m.vtk", "1\n1\n1\n", "1\n1\n1\n" + FOO_SCALARS),
+    "vtk-scalars-before-boundary": ("m.vtk", "POINT_DATA 3\n",
+                                    "POINT_DATA 3\n" + FOO_SCALARS),
+    "vtk-cell-data": ("m.vtk", "1\n1\n1\n",
+                      "1\n1\n1\nCELL_DATA 1\n" + CELL_IDS),
+    "vtk-cell-data-first": ("m.vtk", "POINT_DATA 3\n",
+                            "CELL_DATA 1\n" + CELL_IDS + "POINT_DATA 3\n"),
+    "vtk-scalar-components": ("m.vtk", "1\n1\n1\n",
+                              "1\n1\n1\n" + VECTOR_SCALARS),
+    "medit-edges": ("m.mesh", "Triangles", "Edges\n2\n1 2 0\n2 3 1\nTriangles"),
+}
+
+
+def edited(case, table):
+    name, *edits = table[case]
+    reader, text = ((read_medit, MEDIT_TRIANGLE) if name.endswith(".mesh")
+                    else (read_vtk, VTK_TRIANGLE))
+    plain = reader(text)  # the unedited file reads
+    for old, new in zip(edits[::2], edits[1::2]):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    return name, reader, text, plain
+
+
+@pytest.mark.parametrize("case", sorted(EXTENDED))
+def test_legal_additions_are_skipped(tmp_path, case):
+    name, reader, text, plain = edited(case, EXTENDED)
+    assert reader(text) == plain
+    path = tmp_path / name
+    path.write_text(text)
+    assert run(["quality", "--in", str(path)]) == 0
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_counts_raise_parse_error(tmp_path, capsys, case):
-    name, *edits = MALFORMED[case]
-    reader, text = ((read_medit, MEDIT_TRIANGLE) if name.endswith(".mesh")
-                    else (read_vtk, VTK_TRIANGLE))
-    reader(text)  # the unedited file reads
-    for old, new in zip(edits[::2], edits[1::2]):
-        assert text.count(old) == 1
-        text = text.replace(old, new)
+    name, reader, text, _ = edited(case, MALFORMED)
     with pytest.raises(ParseError):
         reader(text)
     path = tmp_path / name

@@ -21,7 +21,8 @@ from getme import (
 )
 from getme.cli import run
 from getme.generators import FLIP_TRIANGLES, FLIP_VERTICES
-from getme.smoothing import GUARD_NONE
+from getme.mesh import build_adjacency, edge_neighbors
+from getme.smoothing import GUARD_NONE, _PLANAR_MEASURES, _iterate
 
 
 def all_boundary(mesh):
@@ -266,6 +267,110 @@ def test_smart_laplace_rejects_inverting_move():
     assert len(validate(mesh.with_vertices(plain))) > 0
     result = smart_laplace(mesh)
     assert validate(result.mesh) == []
+
+
+def reference_laplace_steps(mesh):
+    """SmartLaplace as a per-vertex numpy sweep: the bits `smart_laplace`
+    must reproduce."""
+    neighbors = edge_neighbors(mesh)
+    incident = build_adjacency(mesh)
+    etype, elems = mesh.element_type, mesh.elements
+    verts = mesh.vertices.copy()
+    interior = np.flatnonzero(~mesh.boundary_mask)
+    ref_sign = np.sign(element_signed_measures(verts[elems], etype))
+
+    while True:
+        for v in interior:
+            if not len(neighbors[v]):
+                continue
+            proposal = verts[neighbors[v]].mean(axis=0)
+            old = verts[v].copy()
+            verts[v] = proposal
+            idx = incident[v]
+            m = element_signed_measures(verts[elems[idx]], etype)
+            if np.any(np.sign(m) != ref_sign[idx]):
+                verts[v] = old
+        yield verts
+
+
+def with_unused_vertex(mesh):
+    """The mesh plus a free vertex that no element uses."""
+    return Mesh(np.vstack([mesh.vertices, [[0.3, 0.7]]]), mesh.elements,
+                mesh.element_type, np.flatnonzero(mesh.boundary_mask))
+
+
+def overflowing_fan():
+    """`concave_fan` with its ring's vertex 3 at (2.5, 2.5), scaled so far
+    up that the reference measures are [inf, inf, nan, inf, inf]."""
+    mesh = concave_fan()
+    verts = mesh.vertices.copy()
+    verts[4] = (2.5, 2.5)
+    return Mesh(verts * 1e155, mesh.elements, "triangle", range(1, 6))
+
+
+def collinear_triangles(xs, ys):
+    """Zero-area triangles (0, 1, 2) and (2, 3, 4) on one line, with the
+    middle vertex free."""
+    return Mesh(np.column_stack([xs, ys]), [[0, 1, 2], [2, 3, 4]],
+                "triangle", (0, 1, 3, 4))
+
+
+def spec_mesh(kind, res, jitter, seed):
+    return lambda: generate(GeneratorSpec(kind, res, jitter, seed))
+
+
+LAPLACE_REFERENCE_MESHES = {
+    "desk-tri20": spec_mesh("jittered-square-tri", 20, 0.4, 7),
+    "desk-quad10": spec_mesh("quad-grid-with-hole", 10, 0.3, 7),
+    "tet4": spec_mesh("cube-tet", 4, 0.4, 3),
+    "hex3": spec_mesh("cube-hex", 3, 0.3, 3),
+    **{f"disk8s{k}": spec_mesh("disk-tri", 8, 0.3, 7 + 1000 * k)
+       for k in range(4)},
+    "concave-fan": concave_fan,
+    "degenerate-fan": fan_with_degenerate_triangle,
+    "unused-vertex": lambda: with_unused_vertex(concave_fan()),
+    "overflowing-fan": overflowing_fan,
+    # the proposal's x overflows to inf and both measures become NaN
+    # against a zero reference sign
+    "overflowing-line": lambda: collinear_triangles(
+        [0.0, 2.0, 1.0, 1.5e308, 1.6e308], [0.0] * 5),
+    # every neighbor sits at x = -0.0, so the proposal's x is -0.0
+    "negative-zero-line": lambda: collinear_triangles(
+        [-0.0] * 5, [0.0, 2.0, 0.5, 3.0, 4.0]),
+}
+
+
+@pytest.mark.parametrize("name", list(LAPLACE_REFERENCE_MESHES))
+def test_smart_laplace_matches_numpy_reference(name):
+    mesh = LAPLACE_REFERENCE_MESHES[name]()
+    with np.errstate(all="ignore"):
+        got = smart_laplace(mesh)
+        want = _iterate(mesh, SmootherConfig(), reference_laplace_steps(mesh))
+    assert got.mesh.vertices.tobytes() == want.mesh.vertices.tobytes()
+    assert got.iterations_run == want.iterations_run
+    assert (np.array(got.report.iteration_trace).tobytes()
+            == np.array(want.report.iteration_trace).tobytes())
+
+
+def test_planar_measures_match_numpy_bits():
+    rng = np.random.default_rng(11)
+    for etype, measure in _PLANAR_MEASURES.items():
+        k = 3 if etype is ElementType.TRIANGLE else 4
+        pts = rng.standard_normal((2000, k, 2)) * 10.0 ** rng.integers(
+            -8, 9, size=(2000, 1, 1))
+        want = element_signed_measures(pts, etype)
+        got = [measure(p, range(k)) for p in pts.tolist()]
+        assert np.array(got).tobytes() == want.tobytes()
+
+
+def test_smart_laplace_rejects_every_move_on_non_finite_measures():
+    mesh = overflowing_fan()
+    with np.errstate(all="ignore"):
+        measures = element_signed_measures(mesh.element_points(),
+                                           ElementType.TRIANGLE)
+        result = smart_laplace(mesh)
+    assert np.isinf(measures).sum() == 4 and np.isnan(measures[2])
+    assert np.array_equal(result.mesh.vertices, mesh.vertices)
 
 
 def rotation_3d(axis, ang):

@@ -201,26 +201,6 @@ def triangle_normals(tris):
                     tris[..., 2, :] - tris[..., 0, :])
 
 
-def orientation(tri, reference_normal=None):
-    """Orientation sign of a triangle: +1 or -1.
-
-    2D: sign of the z-component of (x1-x0) x (x2-x0).
-    3D: sign of the dot product of that normal with reference_normal, which is
-    typically the normal before a transformation step.
-    """
-    tri = np.asarray(tri, dtype=float)
-    if tri.shape[-1] == 2:
-        value = 2.0 * signed_areas_2d(tri)
-    else:
-        if reference_normal is None:
-            raise ValueError("3D orientation needs a reference normal")
-        value = np.dot(triangle_normals(tri), np.asarray(reference_normal, float))
-    scale = edge_lengths(tri).max(axis=-1)
-    if np.any(np.abs(value) <= EPS_DEGENERATE * scale * scale):
-        raise DegenerateElement("triangle is degenerate, orientation undefined")
-    return int(np.sign(value)) if np.ndim(value) == 0 else np.sign(value).astype(int)
-
-
 # ---------------------------------------------------------------------------
 # Hexahedron / octahedron duality
 # ---------------------------------------------------------------------------

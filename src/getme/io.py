@@ -8,6 +8,10 @@ round trips are exact at double precision.
 """
 
 import os
+import re
+from bisect import bisect_right
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -30,61 +34,86 @@ VTK_CELL_TYPES = {
 }
 VTK_CELL_CODE = {v: k for k, v in VTK_CELL_TYPES.items()}
 
+#: A `#` comment runs to the end of its line, where str.splitlines() ends it.
+_COMMENT = re.compile("#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
+
+
 class _Tokens:
-    """Whitespace token stream with line tracking for parse errors."""
+    """The whitespace tokens of a text, `#` comments cut, read front to back
+    a section at a time.  Lines are counted only for an error, by bisecting
+    the per-line token counts."""
 
-    def __init__(self, text):
-        self.items = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            body = line.split("#", 1)[0]
-            for tok in body.split():
-                self.items.append((tok, lineno))
-        self.pos = 0
-        self.last_line = 1
+    def __init__(self, text, offset=0):
+        # `offset` lines of the file come before `text`.
+        self.text, self.offset, self.pos = text, offset, 0
+        self.items = _COMMENT.sub("", text).split()
 
-    def next(self, expect=None):
+    @cached_property
+    def line_ends(self):
+        """The number of tokens up to the end of each line of the text."""
+        return list(accumulate(len(_COMMENT.sub("", line).split())
+                               for line in self.text.splitlines()))
+
+    def error(self, message, at=None, token=None, cls=ParseError):
+        """A `cls` error on the line of the token at index `at`, by default
+        the last token read (before any, the first line)."""
+        at = self.pos - 1 if at is None else at
+        line = self.offset + 1 + bisect_right(self.line_ends, at)
+        return cls(message, line=line, token=token)
+
+    def next(self, expect):
+        """The next token and its index, for `error`."""
         if self.pos >= len(self.items):
-            raise ParseError(
-                f"unexpected end of file (expected {expect or 'more data'})",
-                line=self.last_line,
-            )
-        tok, line = self.items[self.pos]
+            raise self.error(f"unexpected end of file (expected {expect})")
         self.pos += 1
-        self.last_line = line
-        return tok, line
+        return self.items[self.pos - 1], self.pos - 1
 
     def next_int(self, what):
-        tok, line = self.next(what)
-        try:
-            value = int(tok)
-            # Magnitudes below 2**63 still fit int64 after Medit's shift to
-            # 0-based indices.
-            if abs(value) < 2**63:
-                return value
-        except ValueError:
-            pass
-        raise ParseError(f"expected 64-bit integer {what}, got {tok!r}",
-                         line=line, token=tok)
+        return int(self.table(1, [(int, what)])[0][0])
 
     def next_count(self, what, row_size):
         """A count of rows of `row_size` tokens each; it must not be
         negative, and the rows must fit in the tokens that remain."""
         count = self.next_int(what)
         if count < 0 or count * row_size > len(self.items) - self.pos:
-            raise ParseError(f"{what} {count} is negative or exceeds the "
-                             "data that follows", line=self.last_line)
+            raise self.error(f"{what} {count} is negative or exceeds the "
+                             "data that follows")
         return count
 
-    def next_float(self, what):
-        tok, line = self.next(what)
+    def table(self, rows, columns):
+        """The next `rows` rows of one token per column, as one array per
+        column.  `columns` holds each column's (kind, what), with kind float
+        or int; `_column` reads each column in one call."""
+        width, start = len(columns), self.pos
+        block = self.items[start:start + rows * width]
+        self.pos += len(block)
         try:
-            return float(tok)
-        except ValueError:
-            raise ParseError(f"expected number {what}, got {tok!r}",
-                             line=line, token=tok) from None
+            arrays = [_column(kind, block[j::width])
+                      for j, (kind, _) in enumerate(columns)]
+        except (ValueError, OverflowError):
+            for i, token in enumerate(block):  # find the first bad token
+                kind, what = columns[i % width]
+                try:
+                    _column(kind, [token])
+                except (ValueError, OverflowError):
+                    expected = "number" if kind is float else "64-bit integer"
+                    message = f"expected {expected} {what}, got {token!r}"
+                    raise self.error(message, start + i, token) from None
+        if len(block) < rows * width:  # no tokens remain: next() raises
+            self.next(columns[len(block) % width][1])
+        return arrays
 
-    def exhausted(self):
-        return self.pos >= len(self.items)
+
+def _column(kind, tokens):
+    """`tokens` read by Python's float() or int(), as a float or an int64
+    array.  An int must lie strictly between -2**63 and 2**63, so that it
+    still fits int64 after Medit's shift to 0-based indices."""
+    if kind is float:
+        return np.array(list(map(float, tokens)), dtype=float)
+    values = np.array(list(map(int, tokens)), dtype=np.int64)
+    if (values == -2**63).any():
+        raise OverflowError("-2**63 is out of range")
+    return values
 
 
 def _fmt(x):
@@ -98,67 +127,54 @@ def _fmt(x):
 
 def read_medit(text):
     tok = _Tokens(text)
-    dimension = None
-    vertices = None
+    dimension = vertices = elements = element_type = None
     boundary = []
-    elements = None
-    element_type = None
-    saw_end = False
-
-    while not tok.exhausted():
-        keyword, line = tok.next("keyword")
+    while tok.pos < len(tok.items):
+        keyword, at = tok.next("keyword")
         if keyword == "MeshVersionFormatted":
             tok.next_int("format version")
         elif keyword == "Dimension":
             dimension = tok.next_int("dimension")
             if dimension not in (2, 3):
-                raise ParseError(f"unsupported dimension {dimension}", line=line)
+                raise tok.error(f"unsupported dimension {dimension}", at)
         elif keyword == "Vertices":
             if dimension is None:
-                raise ParseError("Vertices before Dimension", line=line)
+                raise tok.error("Vertices before Dimension", at)
             count = tok.next_count("vertex count", dimension + 1)
-            vertices = np.empty((count, dimension))
-            for i in range(count):
-                for d in range(dimension):
-                    vertices[i, d] = tok.next_float("coordinate")
-                if tok.next_int("vertex reference") != 0:
-                    boundary.append(i)
+            columns = [(float, "coordinate")] * dimension
+            *coords, refs = tok.table(count,
+                                      columns + [(int, "vertex reference")])
+            vertices = np.column_stack(coords)
+            boundary += np.flatnonzero(refs).tolist()
         elif keyword in MEDIT_KEYWORDS:
             etype = MEDIT_KEYWORDS[keyword]
             if element_type is not None and element_type is not etype:
-                raise MixedElementTypes(
-                    f"{keyword} after {MEDIT_SECTION[element_type]}", line=line
-                )
+                raise tok.error(
+                    f"{keyword} after {MEDIT_SECTION[element_type]}", at,
+                    cls=MixedElementTypes)
             element_type = etype
             k = NODES_PER_ELEMENT[etype]
             count = tok.next_count("element count", k + 1)
-            elements = np.empty((count, k), dtype=np.int64)
-            for i in range(count):
-                for d in range(k):
-                    elements[i, d] = tok.next_int("vertex index") - 1
-                tok.next_int("element reference")
+            *index, _ = tok.table(count, [(int, "vertex index")] * k
+                                  + [(int, "element reference")])
+            elements = np.column_stack(index) - 1
         elif keyword == "Edges":
             count = tok.next_count("edge count", 3)
-            for _ in range(3 * count):
-                tok.next_int("edge entry")
+            tok.table(count, [(int, "edge entry")] * 3)
         elif keyword == "End":
-            saw_end = True
             break
         else:
-            raise ParseError(f"unsupported keyword {keyword!r}",
-                             line=line, token=keyword)
-
-    if not saw_end:
-        raise ParseError("file is truncated (missing End keyword)",
-                         line=tok.last_line)
+            raise tok.error(f"unsupported keyword {keyword!r}", at, keyword)
+    else:
+        raise tok.error("file is truncated (missing End keyword)")
     if vertices is None:
-        raise ParseError("file has no Vertices section", line=tok.last_line)
+        raise tok.error("file has no Vertices section")
     if elements is None:
-        raise ParseError("file has no element section", line=tok.last_line)
+        raise tok.error("file has no element section")
     try:
         return Mesh(vertices, elements, element_type, boundary)
     except Exception as exc:
-        raise ParseError(f"inconsistent mesh data: {exc}", line=tok.last_line)
+        raise tok.error(f"inconsistent mesh data: {exc}")
 
 
 def write_medit(mesh, fileobj):
@@ -193,108 +209,103 @@ def read_vtk(text):
     if len(dataset) != 2 or dataset[0] != "DATASET" or dataset[1] != "UNSTRUCTURED_GRID":
         raise ParseError("expected DATASET UNSTRUCTURED_GRID", line=4)
 
-    tok = _Tokens("\n".join(lines[4:]))
-    # Re-base line numbers past the header.
-    tok.items = [(t, line + 4) for t, line in tok.items]
-    tok.last_line = 5
-
-    points = None
-    cells = None
-    cell_types = None
-    boundary_flags = None
+    tok = _Tokens("\n".join(lines[4:]), offset=4)
+    points = cells = cell_types = boundary_flags = None
     data_section = data_count = None
-
-    while not tok.exhausted():
-        section, line = tok.next("section")
+    while tok.pos < len(tok.items):
+        section, at = tok.next("section")
         if section == "POINTS":
             n = tok.next_count("point count", 3)
             tok.next("point data type")
-            points = np.empty((n, 3))
-            for i in range(n):
-                for d in range(3):
-                    points[i, d] = tok.next_float("coordinate")
+            points = np.column_stack(tok.table(n, [(float, "coordinate")] * 3))
         elif section == "CELLS":
             n = tok.next_count("cell count", 1)
-            size = tok.next_count("cell list size", 1)
-            start = tok.pos
-            cells = []
-            for _ in range(n):
-                k = tok.next_count("cell size", 1)
-                cells.append([tok.next_int("vertex index") for _ in range(k)])
-            if tok.pos - start != size:
-                raise ParseError(f"cell list size {size} does not match the "
-                                 f"{tok.pos - start} tokens of the cells",
-                                 line=tok.last_line)
+            cells = _read_cells(tok, n, tok.next_count("cell list size", 1))
         elif section == "CELL_TYPES":
             n = tok.next_count("cell type count", 1)
-            cell_types = [tok.next_int("cell type") for _ in range(n)]
+            cell_types, = tok.table(n, [(int, "cell type")])
         elif section in ("POINT_DATA", "CELL_DATA"):
             owners = points if section == "POINT_DATA" else cells
             data_count = tok.next_count(f"{section} count", 1)
             if owners is None or data_count != len(owners):
                 owner = "POINTS" if section == "POINT_DATA" else "CELLS"
-                raise ParseError(f"{section} count does not match {owner}",
-                                 line=line)
+                raise tok.error(f"{section} count does not match {owner}", at)
             data_section = section
         elif section == "SCALARS":
             if data_section is None:
-                raise ParseError("SCALARS outside POINT_DATA or CELL_DATA",
-                                 line=line)
+                raise tok.error("SCALARS outside POINT_DATA or CELL_DATA", at)
             name, _ = tok.next("scalar name")
             tok.next("scalar type")
             components = 1
-            nxt, line = tok.next("LOOKUP_TABLE")
+            nxt, at = tok.next("LOOKUP_TABLE")
             if nxt != "LOOKUP_TABLE":  # optional component count
                 try:
                     components = int(nxt)
                 except ValueError:
-                    raise ParseError("expected LOOKUP_TABLE",
-                                     line=line, token=nxt) from None
+                    raise tok.error("expected LOOKUP_TABLE", at, nxt) from None
                 if not 1 <= components <= 4:
-                    raise ParseError(f"SCALARS {name} has {components} "
-                                     "components, not 1 to 4", line=line)
-                nxt, line = tok.next("LOOKUP_TABLE")
+                    raise tok.error(f"SCALARS {name} has {components} "
+                                    "components, not 1 to 4", at)
+                nxt, at = tok.next("LOOKUP_TABLE")
             if nxt != "LOOKUP_TABLE":
-                raise ParseError("expected LOOKUP_TABLE", line=line, token=nxt)
+                raise tok.error("expected LOOKUP_TABLE", at, nxt)
             tok.next("lookup table name")
-            values = [tok.next_float("scalar value")
-                      for _ in range(data_count * components)]
+            values, = tok.table(data_count * components,
+                                [(float, "scalar value")])
             if name == "boundary" and data_section == "POINT_DATA":
                 if components != 1:
-                    raise ParseError("the boundary array must have one "
-                                     "component", line=line)
-                boundary_flags = np.array(values) != 0
+                    raise tok.error("the boundary array must have one "
+                                    "component", at)
+                boundary_flags = values != 0
         else:
-            raise ParseError(f"unsupported section {section!r}",
-                             line=line, token=section)
+            raise tok.error(f"unsupported section {section!r}", at, section)
 
     if points is None or cells is None or cell_types is None:
-        raise ParseError("missing POINTS, CELLS or CELL_TYPES section",
-                         line=tok.last_line)
+        raise tok.error("missing POINTS, CELLS or CELL_TYPES section")
     if len(cell_types) != len(cells):
-        raise ParseError("CELL_TYPES count does not match CELLS",
-                         line=tok.last_line)
-    types = set(cell_types)
+        raise tok.error("CELL_TYPES count does not match CELLS")
+    types = np.unique(cell_types).tolist()
     if len(types) > 1:
-        raise MixedElementTypes(f"mixed cell types {sorted(types)}",
-                                line=tok.last_line)
-    code = types.pop() if types else None
+        raise tok.error(f"mixed cell types {types}", cls=MixedElementTypes)
+    code = types[0] if types else None
     if code not in VTK_CELL_TYPES:
-        raise UnsupportedElementType(f"unsupported VTK cell type {code}",
-                                     line=tok.last_line)
+        raise tok.error(f"unsupported VTK cell type {code}",
+                        cls=UnsupportedElementType)
     etype = VTK_CELL_TYPES[code]
     k = NODES_PER_ELEMENT[etype]
-    if any(len(c) != k for c in cells):
-        raise ParseError(f"cell size does not match type {code}",
-                         line=tok.last_line)
+    if isinstance(cells, list) or cells.shape[1] != k:
+        raise tok.error(f"cell size does not match type {code}")
 
     if etype in (ElementType.TRIANGLE, ElementType.QUAD) and np.all(points[:, 2] == 0.0):
         points = points[:, :2]
     boundary = np.flatnonzero(boundary_flags) if boundary_flags is not None else None
     try:
-        return Mesh(points, np.array(cells, dtype=np.int64), etype, boundary)
+        return Mesh(points, cells, etype, boundary)
     except Exception as exc:
-        raise ParseError(f"inconsistent mesh data: {exc}", line=tok.last_line)
+        raise tok.error(f"inconsistent mesh data: {exc}")
+
+
+def _read_cells(tok, n, size):
+    """The `n` rows `k v1 .. vk` of a CELLS section of `size` tokens, as an
+    (n, k) int64 array if all rows have one k > 0.  Other lists are walked
+    row by row: to raise the first error in file order, or to return their
+    rows as a list, which read_vtk rejects."""
+    start, k = tok.pos, size // max(n, 1) - 1
+    if n * (k + 1) == size and k > 0:
+        try:
+            sizes, *index = tok.table(n, [(int, "cell size")]
+                                      + [(int, "vertex index")] * k)
+            if (sizes == k).all():
+                return np.column_stack(index)
+        except ParseError:
+            pass
+        tok.pos = start
+    cells = [tok.table(tok.next_count("cell size", 1), [(int, "vertex index")])[0]
+             for _ in range(n)]
+    if tok.pos - start != size:
+        raise tok.error(f"cell list size {size} does not match the "
+                        f"{tok.pos - start} tokens of the cells")
+    return cells
 
 
 def write_vtk(mesh, fileobj):
@@ -342,8 +353,14 @@ def detect_format(path):
 def read_mesh(path, format=None):
     """Read a mesh file; the format defaults to the file extension."""
     format = format or detect_format(path)
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:  # its line as the readers count lines
+        line = len((data[:exc.start].decode("ascii") + ".").splitlines())
+        raise ParseError(f"byte 0x{data[exc.start]:02x} is not ASCII",
+                         line=line) from None
     if format == "medit":
         return read_medit(text)
     if format == "vtk":

@@ -135,34 +135,32 @@ def build_adjacency(mesh):
     return _group(mesh.elements.ravel(), elem_ids, len(mesh.vertices))
 
 
+def _facet_table(mesh, local):
+    """The distinct facets of `mesh`, given as tuples of local vertex
+    indices, as rows of sorted vertex indices in lexicographic order, and
+    how many element facets each one is."""
+    rows = np.sort(np.concatenate([mesh.elements[:, list(f)] for f in local]),
+                   axis=1)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    starts = np.flatnonzero(first)
+    return rows[starts], np.diff(starts, append=len(rows))
+
+
 def edge_neighbors(mesh):
     """Per-vertex arrays of the vertices sharing an element edge with it."""
-    pairs = ELEMENT_EDGES[mesh.element_type]
-    edges = np.concatenate([mesh.elements[:, list(p)] for p in pairs])
-    a, b = np.unique(np.sort(edges, axis=1), axis=0).T
+    a, b = _facet_table(mesh, ELEMENT_EDGES[mesh.element_type])[0].T
     return _group(np.concatenate([a, b]), np.concatenate([b, a]),
                   len(mesh.vertices))
-
-
-def _boundary_facets(mesh):
-    if mesh.element_type in ELEMENT_FACES and mesh.dimension == 3:
-        local = ELEMENT_FACES[mesh.element_type]
-    else:
-        local = ELEMENT_EDGES[mesh.element_type]
-    facets = np.concatenate([mesh.elements[:, list(f)] for f in local])
-    return facets
 
 
 def detect_boundary(mesh):
     """Vertices on facets (edges in 2D, faces in 3D) owned by exactly one
     element.  Raises InvalidTopology if a facet is shared by more than two."""
-    if not len(mesh.elements):
-        return set()
-    facets = _boundary_facets(mesh)
-    keys = np.sort(facets, axis=1)
-    uniq, inverse, counts = np.unique(
-        keys, axis=0, return_inverse=True, return_counts=True
-    )
+    etype = mesh.element_type
+    uniq, counts = _facet_table(mesh, ELEMENT_FACES.get(etype,
+                                                        ELEMENT_EDGES[etype]))
     if np.any(counts > 2):
         bad = int(np.flatnonzero(counts > 2)[0])
         raise InvalidTopology(

@@ -195,8 +195,8 @@ def _iterate(mesh, cfg, steps, guard_resets=(), degenerate=()):
     `steps` yields the vertex array after each iteration; it is advanced
     only once the preconditions hold, and it may update the array it last
     yielded in place.  The loop stops after `cfg.max_iterations`, or once
-    the mean quality gains less than `cfg.error_bound`.  `guard_resets` and
-    `degenerate` are what the steps recorded, copied into the result.
+    the mean quality gains less than `cfg.error_bound` (or NaN).  `guard_resets`
+    and `degenerate` are what the steps recorded, copied into the result.
     """
     if mesh.element_type is ElementType.TRIANGLE and mesh.dimension == 3:
         raise InvalidMesh(
@@ -213,7 +213,7 @@ def _iterate(mesh, cfg, steps, guard_resets=(), degenerate=()):
         verts = next(steps)
         q = element_qualities(verts[elems], etype)
         trace.append((it, float(q.mean()), float(q.min())))
-        if trace[it][1] - trace[it - 1][1] < cfg.error_bound:
+        if not trace[it][1] - trace[it - 1][1] >= cfg.error_bound:
             break
     report = QualityReport.from_qualities(q, trace)
     return SmoothingResult(mesh.with_vertices(verts), report, len(trace) - 1,

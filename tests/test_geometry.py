@@ -16,7 +16,6 @@ from getme import (
     hex_to_octahedron,
     iterate_triangle,
     octahedron_to_hex,
-    orientation,
     rescale_area,
     transform_triangle,
     transform_triangles,
@@ -206,19 +205,6 @@ def test_edge_lengths_and_distortion():
     tri = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 4.0]])
     assert np.allclose(edge_lengths(tri), [3.0, 4.0, 5.0])
     assert np.isclose(distortion(tri), 0.6)
-
-
-def test_orientation_2d():
-    assert orientation(TRI) == 1
-    assert orientation(TRI[::-1]) == -1
-
-
-def test_orientation_3d_uses_reference_normal():
-    tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    assert orientation(tri, reference_normal=[0, 0, 1]) == 1
-    assert orientation(tri, reference_normal=[0, 0, -1]) == -1
-    with pytest.raises(ValueError):
-        orientation(tri)
 
 
 def test_hex_to_octahedron_unit_cube():

@@ -283,3 +283,90 @@ def test_malformed_counts_raise_parse_error(tmp_path, capsys, case):
     path.write_text(text)
     assert run(["quality", "--in", str(path)]) == 2
     assert "error: line" in capsys.readouterr().err
+
+
+#: A bad token deep inside each bulk section, as (extension, the keyword
+#: that opens the section, column, token, what the error expects).
+DEEP_BAD = {
+    "medit-coordinate": (".mesh", "Vertices", 1, "0.5.1", "number coordinate"),
+    "medit-vertex-reference": (".mesh", "Vertices", 2, "1.5",
+                               "64-bit integer vertex reference"),
+    "medit-index-2**63": (".mesh", "Triangles", 1, str(2**63),
+                          "64-bit integer vertex index"),
+    "medit-index--2**63": (".mesh", "Triangles", 2, str(-2**63),
+                           "64-bit integer vertex index"),
+    "medit-edge-entry": (".mesh", "Edges", 1, "x",
+                         "64-bit integer edge entry"),
+    "vtk-points": (".vtk", "POINTS", 2, "1e", "number coordinate"),
+    "vtk-cells": (".vtk", "CELLS", 2, "2.0", "64-bit integer vertex index"),
+    "vtk-cell-types": (".vtk", "CELL_TYPES", 0, "5x",
+                       "64-bit integer cell type"),
+    "vtk-scalars": (".vtk", "LOOKUP_TABLE", 0, "one", "number scalar value"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_BAD))
+def test_bad_token_deep_in_a_section_names_its_line(tmp_path, capsys, case):
+    ext, keyword, column, bad, expected = DEEP_BAD[case]
+    mesh = generate(GeneratorSpec("jittered-square-tri", resolution=8,
+                                  jitter=0.2, seed=1))
+    path = tmp_path / f"m{ext}"
+    write_mesh(mesh, path)
+    lines = path.read_text().splitlines()
+    if keyword == "Edges":
+        at = lines.index("Triangles")
+        lines[at:at] = ["Edges", "40"] + ["1 2 0"] * 40
+    opens = next(i for i, line in enumerate(lines) if line.startswith(keyword))
+    # Medit puts the count on a line of its own; row 20 of 40 or more
+    row = opens + (2 if ext == ".mesh" else 1) + 20
+    tokens = lines[row].split()
+    tokens[column] = bad
+    lines[row] = " ".join(tokens)
+    text = "\n".join(lines) + "\n"
+    reader = read_medit if ext == ".mesh" else read_vtk
+    with pytest.raises(ParseError) as err:
+        reader(text)
+    assert (err.value.line, err.value.token) == (row + 1, bad)
+    message = f"line {row + 1}: expected {expected}, got {bad!r}"
+    assert str(err.value) == message
+    path.write_text(text)
+    assert run(["quality", "--in", str(path)]) == 2
+    assert f"error: line {row + 1}: expected" in capsys.readouterr().err
+
+
+def test_tokens_read_as_python_float_and_int():
+    points = [("-0.0", "1e-320"), ("1E+2", "0_1"), ("0_1", "1E+2")]
+    want = np.array([[float(x), float(y)] for x, y in points])
+    medit = MEDIT_TRIANGLE.replace(
+        "0 0 1\n1 0 1\n0 1 1\n",
+        "".join(f"{x} {y} 0_1\n" for x, y in points)).replace(
+        "1 2 3 0", "0_1 2 3 0_1")
+    vtk = VTK_TRIANGLE.replace(
+        "0 0 0\n1 0 0\n0 1 0\n",
+        "".join(f"{x} {y} -0.0\n" for x, y in points)).replace(
+        "3 0 1 2", "0_3 0 1 2").replace("\n5\n", "\n0_5\n").replace(
+        "1\n1\n1\n", "-0.0\n1e-320\n1E+2\n")
+    for mesh, boundary in ((read_medit(medit), {0, 1, 2}),
+                           (read_vtk(vtk), {1, 2})):
+        assert mesh.vertices.tobytes() == want.tobytes()
+        assert np.array_equal(mesh.elements, [[0, 1, 2]])
+        assert mesh.boundary_vertices == boundary
+
+
+@pytest.mark.parametrize("ext", [".mesh", ".vtk"])
+def test_undecodable_file_is_a_parse_error(tmp_path, capsys, ext):
+    mesh = sample_meshes()[0]
+    path = tmp_path / f"m{ext}"
+    write_mesh(mesh, path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines.insert(5, "# café\n")
+    path.write_bytes("".join(lines).encode("utf-8"))
+    with pytest.raises(ParseError) as err:
+        read_mesh(path)
+    assert err.value.line == 6 and "0xc3" in str(err.value)
+    out = tmp_path / f"out{ext}"
+    assert run(["quality", "--in", str(path)]) == 2
+    assert run(["smooth", "--in", str(path), "--out", str(out),
+                "--smoother", "getme"]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.count("error: line 6: byte 0xc3") == 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from getme import (
+    KINDS,
     ElementType,
     GeneratorSpec,
     InvalidMesh,
@@ -13,6 +14,7 @@ from getme import (
     generate,
     validate,
 )
+from getme.mesh import ELEMENT_EDGES, ELEMENT_FACES, edge_neighbors
 
 SQUARE_2TRI = Mesh(
     [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
@@ -109,8 +111,62 @@ def test_detect_boundary_rejects_overshared_facet():
     verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 1.0]]
     elems = [[0, 1, 2], [0, 1, 3], [0, 1, 4]]
     mesh = Mesh(verts, elems, "triangle")
-    with pytest.raises(InvalidTopology):
+    with pytest.raises(InvalidTopology,
+                       match=r"^facet \(0, 1\) is shared by 3 elements$"):
         detect_boundary(mesh)
+
+
+def sorted_facets(mesh, local):
+    return np.sort(np.concatenate([mesh.elements[:, list(f)] for f in local]),
+                   axis=1)
+
+
+def row_unique_boundary(mesh):
+    """`detect_boundary` through np.unique over the sorted facet rows: faces
+    in 3D, edges in 2D."""
+    local = ELEMENT_FACES.get(mesh.element_type,
+                              ELEMENT_EDGES[mesh.element_type])
+    uniq, counts = np.unique(sorted_facets(mesh, local), axis=0,
+                             return_counts=True)
+    return set(np.unique(uniq[counts == 1]).tolist())
+
+
+def row_unique_neighbors(mesh):
+    """`edge_neighbors` through np.unique over the sorted edge rows."""
+    edges = sorted_facets(mesh, ELEMENT_EDGES[mesh.element_type])
+    neighbors = [set() for _ in mesh.vertices]
+    for a, b in np.unique(edges, axis=0).tolist():
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+    return [sorted(n) for n in neighbors]
+
+
+def padded(mesh, pad):
+    """`mesh` behind `pad` unused vertices, so its vertex ids exceed `pad`."""
+    verts = np.concatenate([np.zeros((pad, mesh.dimension)), mesh.vertices])
+    return Mesh(verts, mesh.elements + pad, mesh.element_type)
+
+
+FACET_MESHES = {
+    f"{kind}-{res}": (lambda kind=kind, res=res:
+                      generate(GeneratorSpec(kind, resolution=res)))
+    for kind in KINDS if kind != "two-triangle-flip" for res in (2, 3, 8, 12)
+}
+FACET_MESHES["two-triangle-flip"] = lambda: generate(
+    GeneratorSpec("two-triangle-flip"))
+# past about 55,000 vertices, a hex face keyed as one int64
+# ((a*n + b)*n + c)*n + d would overflow
+FACET_MESHES["cube-hex-ids-above-55000"] = lambda: padded(
+    generate(GeneratorSpec("cube-hex", resolution=3)), 60_000)
+
+
+@pytest.mark.parametrize("name", list(FACET_MESHES))
+def test_facet_table_matches_row_unique_reference(name):
+    mesh = FACET_MESHES[name]()
+    assert detect_boundary(mesh) == row_unique_boundary(mesh)
+    got = edge_neighbors(mesh)
+    assert all(n.dtype == np.int64 for n in got)
+    assert [n.tolist() for n in got] == row_unique_neighbors(mesh)
 
 
 def test_signed_measures():

@@ -371,6 +371,9 @@ def test_smart_laplace_rejects_every_move_on_non_finite_measures():
         result = smart_laplace(mesh)
     assert np.isinf(measures).sum() == 4 and np.isnan(measures[2])
     assert np.array_equal(result.mesh.vertices, mesh.vertices)
+    # the mean quality is NaN, so the first iteration ends the run
+    assert np.isnan(result.report.mean)
+    assert result.iterations_run == 1
 
 
 def rotation_3d(axis, ang):

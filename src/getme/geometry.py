@@ -93,24 +93,27 @@ def transform_triangles(tris, params=STANDARD_PARAMS):
 
     Returns NaN rows for degenerate inputs (zero radius); callers that need a
     total function mask non-finite results instead of catching exceptions.
+    Takes `tris` in any memory layout and never writes to it; its reductions
+    run fastest when the row index varies fastest in memory.
     """
     tris = np.asarray(tris, dtype=float)
-    c = centroids(tris)[..., None, :]
+    c = tris.mean(axis=-2, keepdims=True)
     d = tris - c
-    radii = np.linalg.norm(d, axis=-1)
+    radii = np.sqrt(np.add.reduce(d * d, axis=-1))  # np.linalg.norm's bits
     # With t_j = alpha0 r_j (x_j - c), the AdaptiveParams formula for vertex i
     # reads (1/3)(2 t_i - t_{i+1} - t_{i-1}) + k (t_{i+1} - t_{i-1})
     # = t_i - mean(t) + k (t_{i+1} - t_{i-1}),  k = (alpha0 - alpha1) / (3 alpha0).
     # The weights sum to zero, so the centroid stays fixed.  Equal gains have
-    # k = 0 and skip the second term.
+    # k = 0 and skip the second term.  Index [2, 0, 1] takes each vertex's
+    # predecessor and [1, 2, 0] its successor, as np.roll by 1 and -1 would.
     k = (params.alpha0 - params.alpha1) / (3.0 * params.alpha0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.roll(radii, 1, axis=-1) / radii
-        scaled = (params.alpha0 * ratios[..., None]) * d
-        out = scaled - scaled.mean(axis=-2, keepdims=True)
+        d *= (params.alpha0 * (radii[..., [2, 0, 1]] / radii))[..., None]
+        out = d - d.mean(axis=-2, keepdims=True)
         if k:
-            out += k * (np.roll(scaled, -1, axis=-2) - np.roll(scaled, 1, axis=-2))
-    return out + c
+            out += k * (d[..., [1, 2, 0], :] - d[..., [2, 0, 1], :])
+    out += c
+    return out
 
 
 def transform_triangle(tri, params=STANDARD_PARAMS):

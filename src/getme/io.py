@@ -116,8 +116,10 @@ def _column(kind, tokens):
     return values
 
 
-def _fmt(x):
-    return f"{x:.17g}"
+def _table(row, *columns):
+    """One section of text: the format `row` applied to each row of the
+    given columns (lists from `.tolist()`)."""
+    return "".join(map(row.__mod__, zip(*columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -178,17 +180,14 @@ def read_medit(text):
 
 
 def write_medit(mesh, fileobj):
+    dim, k = mesh.dimension, mesh.elements.shape[1]
     w = fileobj.write
-    w("MeshVersionFormatted 2\n")
-    w(f"Dimension\n{mesh.dimension}\n")
-    w(f"Vertices\n{len(mesh.vertices)}\n")
-    for coords, on_boundary in zip(mesh.vertices, mesh.boundary_mask):
-        w(" ".join(_fmt(c) for c in coords))
-        w(f" {1 if on_boundary else 0}\n")
-    w(f"{MEDIT_SECTION[mesh.element_type]}\n{len(mesh.elements)}\n")
-    for elem in mesh.elements:
-        w(" ".join(str(v + 1) for v in elem))
-        w(" 0\n")
+    w(f"MeshVersionFormatted 2\nDimension\n{dim}\n")
+    w(f"Vertices\n{len(mesh.vertices)}\n"
+      + _table("%.17g " * dim + "%d\n", *mesh.vertices.T.tolist(),
+               mesh.boundary_mask.tolist()))
+    w(f"{MEDIT_SECTION[mesh.element_type]}\n{len(mesh.elements)}\n"
+      + _table("%d " * k + "0\n", *(mesh.elements + 1).T.tolist()))
     w("End\n")
 
 
@@ -309,29 +308,19 @@ def _read_cells(tok, n, size):
 
 
 def write_vtk(mesh, fileobj):
-    w = fileobj.write
-    w("# vtk DataFile Version 3.0\n")
-    w("getme mesh\n")
-    w("ASCII\n")
-    w("DATASET UNSTRUCTURED_GRID\n")
-    n = len(mesh.vertices)
-    w(f"POINTS {n} double\n")
-    for coords in mesh.vertices:
-        row = list(coords) + [0.0] * (3 - mesh.dimension)
-        w(" ".join(_fmt(c) for c in row) + "\n")
+    n, m = len(mesh.vertices), len(mesh.elements)
     k = NODES_PER_ELEMENT[mesh.element_type]
-    m = len(mesh.elements)
-    w(f"CELLS {m} {m * (k + 1)}\n")
-    for elem in mesh.elements:
-        w(f"{k} " + " ".join(str(v) for v in elem) + "\n")
-    w(f"CELL_TYPES {m}\n")
-    code = VTK_CELL_CODE[mesh.element_type]
-    for _ in range(m):
-        w(f"{code}\n")
-    w(f"POINT_DATA {n}\n")
-    w("SCALARS boundary int 1\nLOOKUP_TABLE default\n")
-    for flag in mesh.boundary_mask:
-        w(f"{1 if flag else 0}\n")
+    point = " ".join(["%.17g"] * mesh.dimension + ["0"] * (3 - mesh.dimension))
+    w = fileobj.write
+    w("# vtk DataFile Version 3.0\ngetme mesh\nASCII\n"
+      "DATASET UNSTRUCTURED_GRID\n")
+    w(f"POINTS {n} double\n"
+      + _table(point + "\n", *mesh.vertices.T.tolist()))
+    w(f"CELLS {m} {m * (k + 1)}\n"
+      + _table(f"{k}" + " %d" * k + "\n", *mesh.elements.T.tolist()))
+    w(f"CELL_TYPES {m}\n" + f"{VTK_CELL_CODE[mesh.element_type]}\n" * m)
+    w(f"POINT_DATA {n}\nSCALARS boundary int 1\nLOOKUP_TABLE default\n"
+      + _table("%d\n", mesh.boundary_mask.tolist()))
 
 
 # ---------------------------------------------------------------------------

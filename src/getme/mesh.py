@@ -124,9 +124,8 @@ class Mesh:
 
 def _group(keys, values, n):
     """Sorted arrays of `values` grouped by their integer key 0..n-1."""
-    order = np.argsort(keys, kind="stable")
     splits = np.cumsum(np.bincount(keys, minlength=n))[:-1]
-    return [np.sort(part) for part in np.split(values[order], splits)]
+    return np.split(values[np.lexsort((values, keys))], splits)
 
 
 def build_adjacency(mesh):

@@ -127,12 +127,16 @@ ELEMENT_TRIANGLES = {
     ElementType.HEX: OCTAHEDRON_FACES,
 }
 
-#: For working point j, the flat (triangle, slot) positions of its images in
-#: triangle order; every working point has the same number of images.
-_IMAGE_SLOTS = {
-    etype: np.argsort(tris.ravel(), kind="stable").reshape(tris.max() + 1, -1)
-    for etype, tris in ELEMENT_TRIANGLES.items()
-}
+
+def _image_slots(tris):
+    """For working point j, the positions of its images in triangle order, in
+    `_transform`'s layout, where slot s of triangle t sits at s * len(tris) + t;
+    every working point has the same number of images."""
+    t, s = np.divmod(np.argsort(tris.ravel(), kind="stable"), 3)
+    return (s * len(tris) + t).reshape(tris.max() + 1, -1)
+
+
+_IMAGE_SLOTS = {e: _image_slots(t) for e, t in ELEMENT_TRIANGLES.items()}
 
 #: Types whose triangles form a closed surface around the element.
 _CLOSED_SURFACES = (ElementType.TET, ElementType.HEX)
@@ -153,28 +157,33 @@ def _transform(points, element_type, params, inner, orientation):
     images are averaged once at the end.  Closed surfaces (tet, hex
     octahedron) are averaged on every pass; the result is scaled about its
     centroid to the volume given by `orientation`, the measures of `points`.
+    Working points are laid out (dim, k, n) and triangles as the (T n, 3, dim)
+    view of a (dim, 3, T, n) gather, so the element index varies fastest.
     """
-    faces = ELEMENT_TRIANGLES[element_type]
+    faces = ELEMENT_TRIANGLES[element_type].T
     slots = _IMAGE_SLOTS[element_type]
     closed = element_type in _CLOSED_SURFACES
     hexes = element_type is ElementType.HEX
-    cur = hex_face_barycenters(points) if hexes else points
-    n, dim = cur.shape[0], cur.shape[-1]
+    n, dim = points.shape[0], points.shape[-1]
+    cur = np.ascontiguousarray(points.T)
+    if hexes:
+        cur = np.ascontiguousarray(hex_face_barycenters(cur.T).T)
 
-    def average_images(tris):
-        return tris.reshape(n, -1, dim)[:, slots].sum(axis=2) / slots.shape[1]
+    def average_images(t):
+        return t.T.reshape(dim, -1, n)[:, slots].sum(axis=2) / slots.shape[1]
 
-    tris = cur[:, faces].reshape(-1, 3, dim)
+    tris = cur[:, faces].reshape(dim, 3, -1).T
     for _ in range(inner):
         new = transform_triangles(tris, params)
         if closed:
             cur = average_images(new)
-            tris = cur[:, faces].reshape(-1, 3, dim)
+            tris = cur[:, faces].reshape(dim, 3, -1).T
         else:
             tris = rescale_areas(tris, new)
     if not closed:
-        return average_images(tris)
+        return np.ascontiguousarray(average_images(tris).T)
 
+    cur = np.ascontiguousarray(cur.T)
     if hexes:
         cur = cur[:, OCTAHEDRON_FACES].mean(axis=2)
     volumes = _orientation(cur, element_type).sum(axis=-1)

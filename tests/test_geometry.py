@@ -22,6 +22,7 @@ from getme import (
     triangle_areas,
     vertex_radii,
 )
+from getme.geometry import rescale_areas
 
 TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.2, 0.8]])
 
@@ -246,3 +247,38 @@ def test_vertex_radii_shape_and_values():
 def test_standard_params_are_ones():
     assert STANDARD_PARAMS.alpha0 == STANDARD_PARAMS.alpha1 == 1.0
     assert STANDARD_PARAMS.alpha2 == 1.0
+
+
+def memory_layouts(tris):
+    """`tris` as a C array, a Fortran array and the (rows, 3, dim) view of a
+    C array laid out (dim, 3, rows)."""
+    return {"C": np.ascontiguousarray(tris), "F": np.asfortranarray(tris),
+            "transposed": np.ascontiguousarray(tris.T).T}
+
+
+def nan_canonical_bytes(a):
+    """The bytes of `a` with every NaN made the same NaN: which NaN an
+    operation on NaN returns depends on the loop numpy picks."""
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+@pytest.mark.parametrize("params", [STANDARD_PARAMS, AdaptiveParams(0.1, 0.15)])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_kernels_give_the_same_bytes_on_every_layout(dim, params):
+    tris = np.random.default_rng(dim).uniform(-1.0, 1.0, (40, 3, dim))
+    tris[0, :, 0] = -0.0   # on the plane x = -0.0
+    tris[1, 1] = tris[1, 0]   # two coincident vertices
+    tris[2] = 0.0   # all three at the origin
+    got = set()
+    for name, t in memory_layouts(tris).items():
+        before = t.copy(order="K")
+        with np.errstate(all="ignore"):
+            new = transform_triangles(t, params)
+            new_before = new.copy(order="K")
+            out = rescale_areas(t, new)
+        assert t.tobytes("A") == before.tobytes("A"), name
+        assert new.tobytes("A") == new_before.tobytes("A"), name
+        got.add(nan_canonical_bytes(new) + nan_canonical_bytes(out))
+    assert len(got) == 1
+    assert np.isnan(new[2]).all()
+    assert np.isfinite(np.delete(new, 2, axis=0)).all()

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,16 @@ from getme import (
     write_mesh,
 )
 from getme.cli import run
-from getme.io import detect_format, read_medit, read_vtk
+from getme.io import (
+    MEDIT_SECTION,
+    VTK_CELL_CODE,
+    detect_format,
+    read_medit,
+    read_vtk,
+    write_medit,
+    write_vtk,
+)
+from getme.mesh import NODES_PER_ELEMENT
 
 ALL_KINDS = ("jittered-square-tri", "disk-tri", "quad-grid-with-hole",
              "cube-tet", "cube-hex", "two-triangle-flip")
@@ -370,3 +381,78 @@ def test_undecodable_file_is_a_parse_error(tmp_path, capsys, ext):
                 "--smoother", "getme"]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.count("error: line 6: byte 0xc3") == 2
+
+
+def reference_write_medit(mesh, fileobj):
+    """The Medit writer as first written: one value and one write at a
+    time."""
+    w = fileobj.write
+    w("MeshVersionFormatted 2\n")
+    w(f"Dimension\n{mesh.dimension}\n")
+    w(f"Vertices\n{len(mesh.vertices)}\n")
+    for coords, on_boundary in zip(mesh.vertices, mesh.boundary_mask):
+        w(" ".join(f"{c:.17g}" for c in coords))
+        w(f" {1 if on_boundary else 0}\n")
+    w(f"{MEDIT_SECTION[mesh.element_type]}\n{len(mesh.elements)}\n")
+    for elem in mesh.elements:
+        w(" ".join(str(v + 1) for v in elem))
+        w(" 0\n")
+    w("End\n")
+
+
+def reference_write_vtk(mesh, fileobj):
+    """The VTK writer as first written: one value and one write at a
+    time."""
+    w = fileobj.write
+    w("# vtk DataFile Version 3.0\n")
+    w("getme mesh\n")
+    w("ASCII\n")
+    w("DATASET UNSTRUCTURED_GRID\n")
+    n = len(mesh.vertices)
+    w(f"POINTS {n} double\n")
+    for coords in mesh.vertices:
+        row = list(coords) + [0.0] * (3 - mesh.dimension)
+        w(" ".join(f"{c:.17g}" for c in row) + "\n")
+    k = NODES_PER_ELEMENT[mesh.element_type]
+    m = len(mesh.elements)
+    w(f"CELLS {m} {m * (k + 1)}\n")
+    for elem in mesh.elements:
+        w(f"{k} " + " ".join(str(v) for v in elem) + "\n")
+    w(f"CELL_TYPES {m}\n")
+    for _ in range(m):
+        w(f"{VTK_CELL_CODE[mesh.element_type]}\n")
+    w(f"POINT_DATA {n}\n")
+    w("SCALARS boundary int 1\nLOOKUP_TABLE default\n")
+    for flag in mesh.boundary_mask:
+        w(f"{1 if flag else 0}\n")
+
+
+def with_edge_values(mesh):
+    """`mesh` with its first coordinates set to -0.0, the smallest
+    subnormal and 1e16, whose shortest forms need care."""
+    verts = mesh.vertices.copy()
+    verts.flat[:3] = (-0.0, 5e-324, 1e16)
+    return Mesh(verts, mesh.elements, mesh.element_type,
+                np.flatnonzero(mesh.boundary_mask))
+
+
+@pytest.mark.parametrize("res", [2, 3, 8])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_writers_match_per_row_reference(kind, res):
+    spec = (GeneratorSpec(kind) if kind == "two-triangle-flip" else
+            GeneratorSpec(kind, resolution=res, jitter=0.3, seed=res))
+    mesh = generate(spec)
+    for m in (mesh, with_edge_values(mesh)):
+        for write, reference in ((write_medit, reference_write_medit),
+                                 (write_vtk, reference_write_vtk)):
+            got, want = io.StringIO(), io.StringIO()
+            write(m, got)
+            reference(m, want)
+            assert got.getvalue() == want.getvalue(), write.__name__
+            assert got.tell() == want.tell()
+    text = io.StringIO()
+    write_vtk(with_edge_values(mesh), text)
+    point = text.getvalue().split("double\n")[1].split("\n")[0]
+    assert point == ("-0 4.9406564584124654e-324 10000000000000000"
+                     if mesh.dimension == 3 else
+                     "-0 4.9406564584124654e-324 0")

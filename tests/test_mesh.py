@@ -14,7 +14,13 @@ from getme import (
     generate,
     validate,
 )
-from getme.mesh import ELEMENT_EDGES, ELEMENT_FACES, edge_neighbors
+from getme.mesh import (
+    ELEMENT_EDGES,
+    ELEMENT_FACES,
+    _facet_table,
+    _group,
+    edge_neighbors,
+)
 
 SQUARE_2TRI = Mesh(
     [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
@@ -167,6 +173,40 @@ def test_facet_table_matches_row_unique_reference(name):
     got = edge_neighbors(mesh)
     assert all(n.dtype == np.int64 for n in got)
     assert [n.tolist() for n in got] == row_unique_neighbors(mesh)
+
+
+def per_part_group(keys, values, n):
+    """`_group` as first written: a stable sort by key, then one np.sort
+    per key."""
+    order = np.argsort(keys, kind="stable")
+    splits = np.cumsum(np.bincount(keys, minlength=n))[:-1]
+    return [np.sort(part) for part in np.split(values[order], splits)]
+
+
+def same_groups(got, want):
+    return len(got) == len(want) and all(
+        g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("name", list(FACET_MESHES))
+def test_group_matches_per_part_sort(name):
+    mesh = FACET_MESHES[name]()
+    n, elems = len(mesh.vertices), mesh.elements
+    a, b = _facet_table(mesh, ELEMENT_EDGES[mesh.element_type])[0].T
+    assert same_groups(edge_neighbors(mesh), per_part_group(
+        np.concatenate([a, b]), np.concatenate([b, a]), n))
+    elem_ids = np.repeat(np.arange(len(elems)), elems.shape[1])
+    assert same_groups(build_adjacency(mesh),
+                       per_part_group(elems.ravel(), elem_ids, n))
+
+
+def test_group_orders_values_within_each_key():
+    rng = np.random.default_rng(5)
+    keys = rng.integers(0, 30, 500)
+    values = rng.integers(-50, 50, 500)   # with repeats inside a key
+    assert same_groups(_group(keys, values, 40),
+                       per_part_group(keys, values, 40))
 
 
 def test_signed_measures():

@@ -19,10 +19,25 @@ from getme import (
     validate,
     write_mesh,
 )
+from getme import smoothing
 from getme.cli import run
 from getme.generators import FLIP_TRIANGLES, FLIP_VERTICES
-from getme.mesh import build_adjacency, edge_neighbors
-from getme.smoothing import GUARD_NONE, _PLANAR_MEASURES, _iterate
+from getme.geometry import (
+    HEX_FACES,
+    OCTAHEDRON_FACES,
+    hex_face_barycenters,
+    rescale_areas,
+)
+from getme.mesh import ELEMENT_FACES, build_adjacency, edge_neighbors
+from getme.smoothing import (
+    ELEMENT_TRIANGLES,
+    GUARD_NONE,
+    GUARD_RESET,
+    _PLANAR_MEASURES,
+    _iterate,
+    _orientation,
+    _transform,
+)
 
 
 def all_boundary(mesh):
@@ -437,3 +452,137 @@ def test_adaptive_smoothing_independent_of_element_row_start():
     b = smooth(rolled, cfg)
     assert np.abs(a.mesh.vertices - b.mesh.vertices).max() < 1e-12
     assert a.iterations_run == b.iterations_run
+
+
+# ---------------------------------------------------------------------------
+# The element-fastest layout of `_transform` against the element-major one
+# ---------------------------------------------------------------------------
+
+
+def reference_transform_triangles(tris, params):
+    """`transform_triangles` as first written, with np.roll and
+    np.linalg.norm over element-major rows."""
+    c = tris.mean(axis=-2)[..., None, :]
+    d = tris - c
+    radii = np.linalg.norm(d, axis=-1)
+    k = (params.alpha0 - params.alpha1) / (3.0 * params.alpha0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.roll(radii, 1, axis=-1) / radii
+        scaled = (params.alpha0 * ratios[..., None]) * d
+        out = scaled - scaled.mean(axis=-2, keepdims=True)
+        if k:
+            out += k * (np.roll(scaled, -1, axis=-2)
+                        - np.roll(scaled, 1, axis=-2))
+    return out + c
+
+
+def reference_transform(points, element_type, params, inner, orientation):
+    """`_transform` on element-major (rows, 3, dim) C arrays, with images
+    at flat (triangle, slot) positions: the bits the element-fastest layout
+    must reproduce."""
+    faces = ELEMENT_TRIANGLES[element_type]
+    slots = np.argsort(faces.ravel(), kind="stable").reshape(
+        faces.max() + 1, -1)
+    closed = element_type in (ElementType.TET, ElementType.HEX)
+    hexes = element_type is ElementType.HEX
+    cur = hex_face_barycenters(points) if hexes else points
+    n, dim = cur.shape[0], cur.shape[-1]
+
+    def average_images(tris):
+        return tris.reshape(n, -1, dim)[:, slots].sum(axis=2) / slots.shape[1]
+
+    tris = cur[:, faces].reshape(-1, 3, dim)
+    for _ in range(inner):
+        new = reference_transform_triangles(tris, params)
+        if closed:
+            cur = average_images(new)
+            tris = cur[:, faces].reshape(-1, 3, dim)
+        else:
+            tris = rescale_areas(tris, new)
+    if not closed:
+        return average_images(tris)
+
+    if hexes:
+        cur = cur[:, OCTAHEDRON_FACES].mean(axis=2)
+    volumes = _orientation(cur, element_type).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = np.cbrt(np.abs(orientation.sum(axis=-1) / volumes))
+    c = cur.mean(axis=1, keepdims=True)
+    return factor[:, None, None] * (cur - c) + c
+
+
+def nan_canonical_bytes(a):
+    """The bytes of `a` with every NaN made the same NaN.  Which NaN an
+    operation on NaN returns depends on the loop numpy picks for the memory
+    layout and length, not on the formulas; NaN rows never reach vertices."""
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+LAYOUT_MESHES = {
+    ElementType.TRIANGLE: ("jittered-square-tri", 4),
+    ElementType.QUAD: ("quad-grid-with-hole", 4),
+    ElementType.TET: ("cube-tet", 2),
+    ElementType.HEX: ("cube-hex", 2),
+}
+
+#: Per type, the local vertices of a facet: an edge in 2D, a face in 3D.
+LAYOUT_FACETS = {
+    ElementType.TRIANGLE: [0, 1],
+    ElementType.QUAD: [0, 1],
+    ElementType.TET: list(ELEMENT_FACES[ElementType.TET][0]),
+    ElementType.HEX: list(HEX_FACES[5]),
+}
+
+
+def layout_cases(etype):
+    """Element points of a jittered mesh, followed by the special rows: a
+    facet on x = -0.0, every x at -0.0, and a flat element (collinear in 2D,
+    in one plane in 3D)."""
+    kind, res = LAYOUT_MESHES[etype]
+    mesh = generate(GeneratorSpec(kind, res, 0.3, 3))
+    points = mesh.vertices[mesh.elements]
+    facet, all_x, flat = points[0].copy(), points[1].copy(), points[2].copy()
+    facet[LAYOUT_FACETS[etype], 0] = -0.0
+    all_x[:, 0] = -0.0
+    flat[:, -1] = 0.5
+    special = np.stack([facet, all_x, flat])
+    return {"mesh": np.concatenate([points, special]),
+            "one-element": points[:1], "negative-zero-facet": facet[None],
+            "flat-element": flat[None]}
+
+
+@pytest.mark.parametrize("inner", [1, None])
+@pytest.mark.parametrize("gains", [(1.0, 1.0), (0.1, 0.15), (0.6, 0.6)])
+@pytest.mark.parametrize("etype", list(LAYOUT_MESHES))
+def test_transform_matches_element_major_reference(etype, gains, inner):
+    params = AdaptiveParams(*gains)
+    inner = inner or SmootherConfig().inner_for(etype)
+    for name, points in layout_cases(etype).items():
+        with np.errstate(all="ignore"):
+            orientation = _orientation(points, etype)
+            got = _transform(points, etype, params, inner, orientation)
+            want = reference_transform(points, etype, params, inner,
+                                       orientation)
+        assert got.shape == want.shape, name
+        assert nan_canonical_bytes(got) == nan_canonical_bytes(want), name
+        if name in ("mesh", "flat-element"):
+            assert np.isnan(got).any()
+
+
+@pytest.mark.parametrize("guard", [GUARD_RESET, GUARD_NONE])
+@pytest.mark.parametrize("preset", ["standard", "adaptive"])
+@pytest.mark.parametrize("etype", list(LAYOUT_MESHES))
+def test_smooth_matches_element_major_reference(monkeypatch, etype, preset,
+                                                guard):
+    kind, res = LAYOUT_MESHES[etype]
+    mesh = generate(GeneratorSpec(kind, res + 2, 0.4, 5))
+    cfg = (adaptive_config(etype, guard=guard) if preset == "adaptive"
+           else SmootherConfig(guard=guard))
+    got = smooth(mesh, cfg)
+    monkeypatch.setattr(smoothing, "_transform", reference_transform)
+    want = smooth(mesh, cfg)
+    assert got.mesh.vertices.tobytes() == want.mesh.vertices.tobytes()
+    assert got.iterations_run == want.iterations_run
+    assert got.guard_resets == want.guard_resets
+    assert (got.report.mean, got.report.min) == (want.report.mean,
+                                                 want.report.min)

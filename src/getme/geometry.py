@@ -230,6 +230,14 @@ HEX_CORNER_TETS = np.array([
 ])
 
 
+def hex_corner_edges(hexes):
+    """The edges from each hexahedron corner to its three neighbors in
+    `HEX_CORNER_TETS` order, as the rows of shape (..., 8, 3, 3)."""
+    hexes = np.asarray(hexes, dtype=float)
+    return (hexes[..., HEX_CORNER_TETS[:, 1:], :]
+            - hexes[..., HEX_CORNER_TETS[:, :1], :])
+
+
 def hex_face_barycenters(hexes):
     """The six face barycenters of each hexahedron, shape (..., 6, 3)."""
     hexes = np.asarray(hexes, dtype=float)

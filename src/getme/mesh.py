@@ -8,8 +8,8 @@ import numpy as np
 from .errors import InvalidMesh, InvalidTopology
 from .geometry import (
     EPS_DEGENERATE,
-    HEX_CORNER_TETS,
     HEX_FACES,
+    hex_corner_edges,
     signed_areas_2d,
     triangle_normals,
 )
@@ -174,6 +174,16 @@ def _element_scales(points):
     return np.ptp(points, axis=1).max(axis=-1)
 
 
+def det3(m):
+    """Determinants of the 3x3 matrices in `m`, shape (..., 3, 3), by cofactor
+    expansion along the first row.  Every volume measure takes its
+    determinant from here; a non-finite entry gives a non-finite result."""
+    a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
+    d, e, f = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
+    g, h, i = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def element_signed_measures(points, element_type, reference_normals=None):
     """Signed size of each element, positive for valid orientation.
 
@@ -195,8 +205,7 @@ def element_signed_measures(points, element_type, reference_normals=None):
         xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
         return 0.5 * np.sum(x * yn - xn * y, axis=-1)
     if element_type is ElementType.TET:
-        d = points[..., 1:, :] - points[..., :1, :]
-        return np.linalg.det(d)
+        return det3(points[..., 1:, :] - points[..., :1, :])
     if element_type is ElementType.HEX:
         return hex_corner_dets(points).min(axis=-1)
     raise InvalidMesh(f"unsupported element type {element_type}")
@@ -204,14 +213,12 @@ def element_signed_measures(points, element_type, reference_normals=None):
 
 def hex_corner_dets(points):
     """Determinants of the eight corner tetrahedra of each hexahedron."""
-    points = np.asarray(points, dtype=float)
-    tets = points[..., HEX_CORNER_TETS, :]
-    d = tets[..., 1:, :] - tets[..., :1, :]
-    return np.linalg.det(d)
+    return det3(hex_corner_edges(points))
 
 
 def validate(mesh, reference_orientation=None, reference_normals=None):
-    """Indices of inverted or (near-)degenerate elements.
+    """Indices of inverted, (near-)degenerate or unmeasurable (NaN measure,
+    from overflow) elements.
 
     `reference_orientation` is a per-element sign array (+1 by default);
     `reference_normals` supplies the comparison normals for 3D triangle
@@ -229,5 +236,5 @@ def validate(mesh, reference_orientation=None, reference_normals=None):
     scale = _element_scales(points)
     power = {"triangle": 2, "quad": 2, "tet": 3, "hex": 3}[mesh.element_type.value]
     threshold = EPS_DEGENERATE * scale**power
-    bad = measures * signs <= threshold
+    bad = ~(measures * signs > threshold)
     return np.flatnonzero(bad).tolist()

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import HEX_CORNER_TETS, distortion
-from .mesh import ElementType
+from .geometry import distortion, hex_corner_edges
+from .mesh import ElementType, det3
 
 #: Edge matrix of the regular reference tetrahedron (unit edge length).
 REFERENCE_TET_FACTOR = np.array([
@@ -34,7 +34,7 @@ def quality_edge_ratio(points):
 
 def _mean_ratio_from_edge_matrix(s):
     """3 det(S)^(2/3) / trace(S^t S), clipped to 0 for non-positive dets."""
-    det = np.linalg.det(s)
+    det = det3(s)
     trace = np.einsum("...ij,...ij->...", s, s)
     with np.errstate(divide="ignore", invalid="ignore"):
         q = 3.0 * np.cbrt(det) ** 2 / trace
@@ -58,9 +58,7 @@ def quality_mean_ratio_hex(points):
     Average of the eight corner-tetrahedron mean ratios with the identity as
     reference factor; corners with non-positive determinant contribute 0.
     """
-    points = np.asarray(points, dtype=float)
-    tets = points[..., HEX_CORNER_TETS, :]
-    d = np.swapaxes(tets[..., 1:, :] - tets[..., :1, :], -1, -2)
+    d = np.swapaxes(hex_corner_edges(points), -1, -2)
     return _mean_ratio_from_edge_matrix(d).mean(axis=-1)
 
 

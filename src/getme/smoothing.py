@@ -237,6 +237,13 @@ def smooth(mesh, cfg=SmootherConfig()):
     return _iterate(mesh, cfg, steps, guard_resets, degenerate)
 
 
+def _vertex_sums(indices, values, n):
+    """Sums of the `values` rows per vertex index, each added in input order
+    from 0.0, as np.add.at into zeros adds them."""
+    return np.stack([np.bincount(indices, weights=col, minlength=n)
+                     for col in values.T], axis=1)
+
+
 def _getme_steps(mesh, cfg, guard_resets, degenerate):
     """Simultaneous transform-and-average iterations of `smooth()`."""
     element_type = mesh.element_type
@@ -266,8 +273,8 @@ def _getme_steps(mesh, cfg, guard_resets, degenerate):
         new = np.where(bad[:, None, None], snapshot, new)
         resets = int(bad.sum())
 
-        acc = np.zeros_like(verts)
-        np.add.at(acc, elems.ravel(), new.reshape(-1, verts.shape[1]))
+        acc = _vertex_sums(elems.ravel(), new.reshape(-1, verts.shape[1]),
+                           len(verts))
         moved = np.where(pinned, verts, acc / counts)
 
         orientation = None
@@ -308,7 +315,9 @@ def smart_laplace(mesh, cfg=SmootherConfig()):
     any incident element.  Vertices are processed in index order on the
     current positions, which keeps runs bit-reproducible.  Planar meshes
     (tri, quad) are swept on Python floats in numpy's exact operation
-    order, so both sweeps give the bits of a per-vertex numpy loop.
+    order, and tet and hex meshes one wavefront of vertices that share no
+    element at a time, so both sweeps give the bits of a per-vertex numpy
+    loop.
     """
     return _iterate(mesh, cfg, _laplace_steps(mesh))
 
@@ -329,18 +338,46 @@ def _laplace_steps(mesh):
 
 
 def _volume_laplace_steps(verts, elems, etype, ref_sign, movable):
-    """Tet and hex sweeps: each move is checked by the numpy measures of the
-    vertex's incident elements, gathered once."""
-    plan = [(v, nb, elems[inc], ref_sign[inc]) for v, nb, inc in movable]
+    """Tet and hex sweeps, one wavefront at a time.
+
+    A vertex's wave is one more than the highest wave of any lower-indexed
+    movable vertex it shares an element with, so no two vertices of a wave
+    share an element.  Moving a whole wave at once, and measuring all its
+    incident elements in one call, then gives the bits of the index-order
+    sweep.  The neighbor sums run over a gather padded with a -0.0 row,
+    since x + -0.0 == x for every x, -0.0 included.
+    """
+    n = len(verts)
+    work = np.vstack([verts, np.full((1, verts.shape[1]), -0.0)])
+    top = [0] * len(elems)   # the highest wave in each element so far
+    waves = {}
+    for v, nb, inc in movable:
+        ids = inc.tolist()
+        wave = 1 + max(top[e] for e in ids)
+        for e in ids:
+            top[e] = wave
+        waves.setdefault(wave, []).append((v, nb.tolist(), inc))
+    plan = []
+    for wave in waves.values():
+        vids, nbs, incs = zip(*wave)
+        k = max(map(len, nbs))
+        inc = np.concatenate(incs)
+        plan.append((
+            np.array(vids),
+            np.array([nb + [n] * (k - len(nb)) for nb in nbs]).T,
+            np.array([[len(nb)] for nb in nbs], dtype=float),
+            elems[inc], ref_sign[inc],
+            np.repeat(np.arange(len(wave)), [len(i) for i in incs]),
+        ))
     while True:
-        for v, nb, conn, sign in plan:
-            old = verts[v].copy()
-            # the same bits as verts[nb].mean(axis=0)
-            verts[v] = np.add.reduce(verts[nb]) / len(nb)
-            m = element_signed_measures(verts[conn], etype)
-            if (np.sign(m) != sign).any():
-                verts[v] = old
-        yield verts
+        for vids, nbs, counts, conn, sign, owner in plan:
+            old = work[vids]
+            # the same bits as work[nb].mean(axis=0) per vertex
+            work[vids] = np.add.reduce(work[nbs]) / counts
+            m = element_signed_measures(work[conn], etype)
+            bad = np.bincount(owner, weights=np.sign(m) != sign) > 0
+            work[vids[bad]] = old[bad]
+        yield work[:n]
 
 
 def _triangle_measure(pts, ids):

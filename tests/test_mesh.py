@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from getme.mesh import (
     ELEMENT_FACES,
     _facet_table,
     _group,
+    det3,
     edge_neighbors,
 )
 
@@ -244,3 +247,59 @@ def test_generator_meshes_are_valid():
                  "cube-tet", "cube-hex"):
         mesh = generate(GeneratorSpec(kind, resolution=3, jitter=0.3, seed=1))
         assert validate(mesh) == [], kind
+
+
+def hadamard_bound(m):
+    """Product of the row norms: no 3x3 determinant exceeds it."""
+    return np.prod(np.linalg.norm(m, axis=-1), axis=-1)
+
+
+def test_det3_matches_lapack_det():
+    rng = np.random.default_rng(23)
+    m = rng.standard_normal((120_000, 3, 3))
+    want = np.linalg.det(m)
+    assert np.all(np.abs(det3(m) - want) <= 1e-15 * hadamard_bound(m))
+    # numpy's det is sign * exp(logdet), whose rounding grows with
+    # |logdet| (to about 1e-14 of the bound at scale 1e8); the signs agree
+    # at every scale, and the error is checked against exact values below
+    scaled = m * 10.0 ** rng.uniform(-8, 8, size=(len(m), 1, 1))
+    assert np.array_equal(np.sign(det3(scaled)),
+                          np.sign(np.linalg.det(scaled)))
+
+
+def exact_det(rows):
+    (a, b, c), (d, e, f), (g, h, i) = [[Fraction(x) for x in r] for r in rows]
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def test_det3_error_against_exact_values():
+    rng = np.random.default_rng(29)
+    m = rng.standard_normal((1000, 3, 3)) * 10.0 ** rng.uniform(
+        -8, 8, size=(1000, 3, 1))   # each row at its own scale
+    got, bound = det3(m), hadamard_bound(m)
+    for k, rows in enumerate(m.tolist()):
+        assert abs(Fraction(got[k]) - exact_det(rows)) <= 1e-15 * bound[k]
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_det3_is_non_finite_on_non_finite_entries(bad):
+    base = np.array([[2.0, 1.0, 0.5], [0.3, 3.0, 1.0], [1.0, 0.2, 4.0]])
+    cases = []
+    for r in range(3):
+        row = base.copy()
+        row[r] = bad
+        cases.append(row)
+        for c in range(3):
+            one = base.copy()
+            one[r, c] = bad
+            cases.append(one)
+    with np.errstate(invalid="ignore"):
+        assert not np.isfinite(det3(np.array(cases))).any()
+        assert not np.isfinite(np.linalg.det(np.array(cases))).any()
+
+
+def test_det3_is_exactly_zero_on_integer_singular_matrices():
+    singular = np.array([[[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+                         [[2, 4, 6], [1, 2, 3], [5, -1, 7]],
+                         [[3, 0, 1], [6, 0, 2], [0, 0, 5]]])
+    assert np.all(det3(singular.astype(float)) == 0.0)

@@ -19,7 +19,7 @@ from getme import (
     validate,
     write_mesh,
 )
-from getme import smoothing
+from getme import mesh as mesh_module, quality, smoothing
 from getme.cli import run
 from getme.generators import FLIP_TRIANGLES, FLIP_VERTICES
 from getme.geometry import (
@@ -37,6 +37,7 @@ from getme.smoothing import (
     _iterate,
     _orientation,
     _transform,
+    _vertex_sums,
 )
 
 
@@ -284,9 +285,9 @@ def test_smart_laplace_rejects_inverting_move():
     assert validate(result.mesh) == []
 
 
-def reference_laplace_steps(mesh):
+def reference_laplace_steps(mesh, rejected=None):
     """SmartLaplace as a per-vertex numpy sweep: the bits `smart_laplace`
-    must reproduce."""
+    must reproduce.  Appends each rejected vertex to `rejected`, if given."""
     neighbors = edge_neighbors(mesh)
     incident = build_adjacency(mesh)
     etype, elems = mesh.element_type, mesh.elements
@@ -305,6 +306,8 @@ def reference_laplace_steps(mesh):
             m = element_signed_measures(verts[elems[idx]], etype)
             if np.any(np.sign(m) != ref_sign[idx]):
                 verts[v] = old
+                if rejected is not None:
+                    rejected.append(v)
         yield verts
 
 
@@ -334,11 +337,40 @@ def spec_mesh(kind, res, jitter, seed):
     return lambda: generate(GeneratorSpec(kind, res, jitter, seed))
 
 
+def permuted(mesh, seed):
+    """`mesh` with its vertex ids randomly permuted, which changes the order
+    of the SmartLaplace sweep and so its wavefronts."""
+    perm = np.random.default_rng(seed).permutation(len(mesh.vertices))
+    verts = np.empty_like(mesh.vertices)
+    verts[perm] = mesh.vertices
+    return Mesh(verts, perm[mesh.elements], mesh.element_type,
+                perm[np.flatnonzero(mesh.boundary_mask)])
+
+
+def overflowing_tets():
+    """An unjittered cube-tet mesh scaled so far up that every tet
+    determinant is NaN: products of three coordinates overflow to inf and
+    meet 0 * inf or inf - inf."""
+    mesh = generate(GeneratorSpec("cube-tet", 3, 0.0))
+    return Mesh(mesh.vertices * 1e155, mesh.elements, "tet",
+                np.flatnonzero(mesh.boundary_mask))
+
+
 LAPLACE_REFERENCE_MESHES = {
     "desk-tri20": spec_mesh("jittered-square-tri", 20, 0.4, 7),
     "desk-quad10": spec_mesh("quad-grid-with-hole", 10, 0.3, 7),
     "tet4": spec_mesh("cube-tet", 4, 0.4, 3),
     "hex3": spec_mesh("cube-hex", 3, 0.3, 3),
+    "desk-tet8": spec_mesh("cube-tet", 8, 0.45, 7),
+    "desk-hex10": spec_mesh("cube-hex", 10, 0.35, 7),
+    "tet5-permuted": lambda: permuted(generate(
+        GeneratorSpec("cube-tet", 5, 0.4, 3)), 13),
+    # the first sweep rejects a move on each of these; on the hex, vertices
+    # that share an element but no edge decide differently when they are
+    # moved together, so they must sit in different wavefronts
+    "tet5-rejects": spec_mesh("cube-tet", 5, 0.49, 4),
+    "hex4-rejects": spec_mesh("cube-hex", 4, 0.49, 22),
+    "overflowing-tets": overflowing_tets,
     **{f"disk8s{k}": spec_mesh("disk-tri", 8, 0.3, 7 + 1000 * k)
        for k in range(4)},
     "concave-fan": concave_fan,
@@ -383,11 +415,38 @@ def test_smart_laplace_rejects_every_move_on_non_finite_measures():
     with np.errstate(all="ignore"):
         measures = element_signed_measures(mesh.element_points(),
                                            ElementType.TRIANGLE)
+        flagged = validate(mesh)
         result = smart_laplace(mesh)
     assert np.isinf(measures).sum() == 4 and np.isnan(measures[2])
+    assert flagged == [0, 1, 2, 3, 4]
     assert np.array_equal(result.mesh.vertices, mesh.vertices)
     # the mean quality is NaN, so the first iteration ends the run
     assert np.isnan(result.report.mean)
+    assert result.iterations_run == 1
+
+
+@pytest.mark.parametrize("name", ["desk-tet8", "tet5-rejects",
+                                  "hex4-rejects"])
+def test_volume_reference_meshes_reject_a_move(name):
+    mesh = LAPLACE_REFERENCE_MESHES[name]()
+    rejected = []
+    next(reference_laplace_steps(mesh, rejected))
+    assert rejected
+
+
+def test_smart_laplace_rejects_every_move_on_overflowing_tets():
+    mesh = overflowing_tets()
+    rejected = []
+    with np.errstate(all="ignore"):
+        measures = element_signed_measures(mesh.element_points(),
+                                           ElementType.TET)
+        flagged = validate(mesh)
+        next(reference_laplace_steps(mesh, rejected))
+        result = smart_laplace(mesh)
+    assert np.isnan(measures).all()
+    assert flagged == list(range(len(mesh.elements)))
+    assert len(rejected) == (~mesh.boundary_mask).sum() == 8
+    assert np.array_equal(result.mesh.vertices, mesh.vertices)
     assert result.iterations_run == 1
 
 
@@ -586,3 +645,58 @@ def test_smooth_matches_element_major_reference(monkeypatch, etype, preset,
     assert got.guard_resets == want.guard_resets
     assert (got.report.mean, got.report.min) == (want.report.mean,
                                                  want.report.min)
+
+
+# ---------------------------------------------------------------------------
+# The closed-form determinant and the bincount scatter against the forms
+# they replace
+# ---------------------------------------------------------------------------
+
+
+def test_vertex_sums_match_add_at():
+    rng = np.random.default_rng(17)
+    n, dim = 50, 3
+    # vertex 7 is unused, and vertex 3's only values are -0.0
+    indices = rng.integers(0, n, 2000)
+    indices[indices == 7] = 8
+    values = rng.standard_normal((2000, dim)) * 10.0 ** rng.integers(
+        -8, 9, size=(2000, 1))
+    indices[:4] = 3
+    values[indices == 3] = -0.0
+    want = np.zeros((n, dim))
+    np.add.at(want, indices, values)
+    got = _vertex_sums(indices, values, n)
+    assert got.tobytes() == want.tobytes()
+    assert np.signbit(got[3]).sum() == 0 and not got[7].any()
+
+
+DESK_MESHES = {
+    "tri20": ("jittered-square-tri", 20, 0.4),
+    "quad10": ("quad-grid-with-hole", 10, 0.3),
+    "tet8": ("cube-tet", 8, 0.45),
+    "hex10": ("cube-hex", 10, 0.35),
+}
+
+
+@pytest.mark.parametrize("preset", ["standard", "adaptive"])
+@pytest.mark.parametrize("name", list(DESK_MESHES))
+def test_smooth_matches_lapack_det_reference(monkeypatch, name, preset):
+    """`det3` against LAPACK's det at every determinant site: volume outputs
+    within 1e-12, planar ones (which take no determinant) bit-identical."""
+    kind, res, jitter = DESK_MESHES[name]
+    mesh = generate(GeneratorSpec(kind, res, jitter, 7))
+    cfg = (adaptive_config(mesh.element_type) if preset == "adaptive"
+           else SmootherConfig())
+    got = smooth(mesh, cfg)
+    monkeypatch.setattr(mesh_module, "det3", np.linalg.det)
+    monkeypatch.setattr(quality, "det3", np.linalg.det)
+    want = smooth(mesh, cfg)
+    assert got.iterations_run == want.iterations_run
+    assert got.guard_resets == want.guard_resets
+    if mesh.dimension == 2:
+        assert got.mesh.vertices.tobytes() == want.mesh.vertices.tobytes()
+    else:
+        # the two determinants round differently, so the patch took effect
+        assert got.mesh.vertices.tobytes() != want.mesh.vertices.tobytes()
+        assert np.abs(got.mesh.vertices - want.mesh.vertices).max() <= 1e-12
+        assert abs(got.report.mean - want.report.mean) <= 1e-12

@@ -7,6 +7,7 @@ valid.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -41,7 +42,9 @@ class GeneratorSpec:
 
 def _apply_jitter(mesh, amplitude, rng, max_rounds=60):
     """Displace interior vertices, redrawing any displacement that produces
-    an inverted element (halving the amplitude each round)."""
+    an inverted element (halving the amplitude each round).  After the
+    first round only the elements that touch a redrawn vertex are checked
+    again, since an element's verdict depends on its own vertices alone."""
     if amplitude <= 0:
         return mesh
     interior = np.flatnonzero(~mesh.boundary_mask)
@@ -51,19 +54,23 @@ def _apply_jitter(mesh, amplitude, rng, max_rounds=60):
     base = verts[interior].copy()
     scale = np.full(len(interior), amplitude)
     verts[interior] = base + rng.uniform(-1, 1, base.shape) * scale[:, None]
-    current = mesh.with_vertices(verts)
+    elems, bad = mesh.elements, np.zeros(len(mesh.elements), dtype=bool)
+    touched = np.arange(len(elems))
     for _ in range(max_rounds):
-        bad = validate(current)
-        if not bad:
-            return current
-        bad_verts = np.unique(mesh.elements[bad])
-        redraw = np.isin(interior, bad_verts)
+        checked = Mesh(verts, elems[touched], mesh.element_type)
+        bad[touched] = False
+        bad[touched[validate(checked)]] = True
+        if not bad.any():
+            return mesh.with_vertices(verts)
+        redraw = np.isin(interior, elems[bad])
         scale[redraw] *= 0.5
         verts[interior[redraw]] = (
             base[redraw]
             + rng.uniform(-1, 1, (redraw.sum(), verts.shape[1])) * scale[redraw, None]
         )
-        current = mesh.with_vertices(verts)
+        moved = np.zeros(len(verts), dtype=bool)
+        moved[interior[redraw]] = True
+        touched = np.flatnonzero(reduce(np.logical_or, moved[elems.T]))
     # Last resort: pin the stubborn vertices back to the unjittered grid.
     verts[interior[redraw]] = base[redraw]
     current = mesh.with_vertices(verts)

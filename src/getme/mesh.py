@@ -1,7 +1,9 @@
 """Mesh data model: vertices, homogeneous connectivity, adjacency, boundary
 detection and validity reporting."""
 
+import copy
 import enum
+from functools import reduce
 
 import numpy as np
 
@@ -55,7 +57,7 @@ class Mesh:
 
     def __init__(self, vertices, elements, element_type, boundary_vertices=None):
         self.vertices = np.array(vertices, dtype=float, order="C")
-        self.elements = np.array(elements, dtype=np.int64, order="C")
+        self.elements = _indices(elements, "element")
         if isinstance(element_type, str):
             element_type = ElementType(element_type)
         self.element_type = element_type
@@ -72,8 +74,8 @@ class Mesh:
         if self.elements.size:
             if self.elements.min() < 0 or self.elements.max() >= len(self.vertices):
                 raise InvalidMesh("element index out of range")
-            sorted_elems = np.sort(self.elements, axis=1)
-            if np.any(sorted_elems[:, 1:] == sorted_elems[:, :-1]):
+            cols = _sorted_columns(self.elements.T)
+            if reduce(np.logical_or, map(np.equal, cols[1:], cols[:-1])).any():
                 raise InvalidMesh("element repeats a vertex index")
         if element_type in (ElementType.TET, ElementType.HEX) and self.dimension != 3:
             raise InvalidMesh(f"{element_type.value} meshes must be 3D")
@@ -82,7 +84,7 @@ class Mesh:
 
         mask = np.zeros(len(self.vertices), dtype=bool)
         if boundary_vertices is not None:
-            idx = np.asarray(sorted(boundary_vertices), dtype=np.int64)
+            idx = _indices(list(boundary_vertices), "boundary vertex")
             if idx.size and (idx.min() < 0 or idx.max() >= len(self.vertices)):
                 raise InvalidMesh("boundary vertex index out of range")
             mask[idx] = True
@@ -100,11 +102,17 @@ class Mesh:
         return set(np.flatnonzero(self.boundary_mask).tolist())
 
     def with_vertices(self, vertices):
-        """Copy with new vertex positions, identical connectivity and flags."""
-        return Mesh(
-            vertices, self.elements, self.element_type,
-            np.flatnonzero(self.boundary_mask),
-        )
+        """Copy with new vertex positions, sharing the connectivity and flags
+        checked at construction; the positions must keep their shape."""
+        vertices = np.array(vertices, dtype=float, order="C")
+        if vertices.shape != self.vertices.shape:
+            raise InvalidMesh("new vertices must have the shape of the old")
+        if not np.all(np.isfinite(vertices)):
+            raise InvalidMesh("vertex coordinates must be finite")
+        vertices.setflags(write=False)
+        moved = copy.copy(self)
+        moved.vertices = vertices
+        return moved
 
     def element_points(self):
         """Vertex coordinates per element, shape (n, k, dim)."""
@@ -122,36 +130,74 @@ class Mesh:
         )
 
 
+def _indices(values, what):
+    """`values` as a C-ordered int64 array; booleans and non-integral
+    numbers are refused, not truncated."""
+    raw = np.asarray(values)
+    if raw.size and raw.dtype.kind not in "iu" and not (
+            raw.dtype.kind == "f" and np.all(np.isfinite(raw))
+            and np.array_equal(raw, np.trunc(raw))):
+        raise InvalidMesh(f"{what} indices must be integers")
+    return np.array(raw, dtype=np.int64, order="C")
+
+
+def _sorted_columns(cols):
+    """The columns of a table with each row sorted ascending, by the
+    odd-even transposition network: exact minima and maxima of columns."""
+    cols = list(cols)
+    for r in range(len(cols)):
+        for i in range(r % 2, len(cols) - 1, 2):
+            cols[i], cols[i + 1] = (np.minimum(cols[i], cols[i + 1]),
+                                    np.maximum(cols[i], cols[i + 1]))
+    return cols
+
+
 def _group(keys, values, n):
-    """Sorted arrays of `values` grouped by their integer key 0..n-1."""
-    splits = np.cumsum(np.bincount(keys, minlength=n))[:-1]
-    return np.split(values[np.lexsort((values, keys))], splits)
+    """`values` sorted by their integer key 0..n-1, then by value, and the
+    offsets of each key's run: key k owns [offsets[k], offsets[k + 1])."""
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=offsets[1:])
+    return values[np.lexsort((values, keys))], offsets
+
+
+def _incident_elements(mesh):
+    """`_group` of the element indices incident to each vertex."""
+    elem_ids = np.repeat(np.arange(len(mesh.elements)), mesh.elements.shape[1])
+    return _group(mesh.elements.ravel(), elem_ids, len(mesh.vertices))
+
+
+def _edge_neighbors(mesh):
+    """`_group` of the vertices sharing an element edge with each vertex."""
+    a, b = _facet_table(mesh, ELEMENT_EDGES[mesh.element_type])[0].T
+    return _group(np.concatenate([a, b]), np.concatenate([b, a]),
+                  len(mesh.vertices))
 
 
 def build_adjacency(mesh):
     """Per-vertex arrays of incident element indices, duplicate-free."""
-    elem_ids = np.repeat(np.arange(len(mesh.elements)), mesh.elements.shape[1])
-    return _group(mesh.elements.ravel(), elem_ids, len(mesh.vertices))
+    values, offsets = _incident_elements(mesh)
+    return np.split(values, offsets[1:-1])
+
+
+def edge_neighbors(mesh):
+    """Per-vertex arrays of the vertices sharing an element edge with it."""
+    values, offsets = _edge_neighbors(mesh)
+    return np.split(values, offsets[1:-1])
 
 
 def _facet_table(mesh, local):
     """The distinct facets of `mesh`, given as tuples of local vertex
     indices, as rows of sorted vertex indices in lexicographic order, and
     how many element facets each one is."""
-    rows = np.sort(np.concatenate([mesh.elements[:, list(f)] for f in local]),
-                   axis=1)
-    rows = rows[np.lexsort(rows.T[::-1])]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    cols = _sorted_columns(mesh.elements.T[np.array(local).T]
+                           .reshape(len(local[0]), -1))
+    order = np.lexsort(cols[::-1])
+    cols = [c[order] for c in cols]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = reduce(np.logical_or, [c[1:] != c[:-1] for c in cols])
     starts = np.flatnonzero(first)
-    return rows[starts], np.diff(starts, append=len(rows))
-
-
-def edge_neighbors(mesh):
-    """Per-vertex arrays of the vertices sharing an element edge with it."""
-    a, b = _facet_table(mesh, ELEMENT_EDGES[mesh.element_type])[0].T
-    return _group(np.concatenate([a, b]), np.concatenate([b, a]),
-                  len(mesh.vertices))
+    return (np.stack([c[starts] for c in cols], axis=1),
+            np.diff(starts, append=len(order)))
 
 
 def detect_boundary(mesh):
@@ -170,8 +216,11 @@ def detect_boundary(mesh):
 
 
 def _element_scales(points):
-    """Characteristic length per element: the largest coordinate span."""
-    return np.ptp(points, axis=1).max(axis=-1)
+    """Characteristic length per element: the largest coordinate span,
+    taken as minima and maxima of whole columns."""
+    corners = points.swapaxes(0, 1)
+    span = reduce(np.maximum, corners) - reduce(np.minimum, corners)
+    return reduce(np.maximum, span.T)
 
 
 def det3(m):

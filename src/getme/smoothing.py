@@ -36,8 +36,8 @@ from .mesh import (
     ELEMENT_FACES,
     ElementType,
     Mesh,
-    build_adjacency,
-    edge_neighbors,
+    _edge_neighbors,
+    _incident_elements,
     element_signed_measures,
     hex_corner_dets,
 )
@@ -323,15 +323,16 @@ def smart_laplace(mesh, cfg=SmootherConfig()):
 
 
 def _laplace_steps(mesh):
-    neighbors = edge_neighbors(mesh)
-    incident = build_adjacency(mesh)
+    neighbors, nb_at = (a.tolist() for a in _edge_neighbors(mesh))
+    incident, inc_at = (a.tolist() for a in _incident_elements(mesh))
     etype, elems = mesh.element_type, mesh.elements
     verts = mesh.vertices.copy()
     ref_sign = np.sign(element_signed_measures(verts[elems], etype))
     # (vertex, sorted neighbors, incident elements) for each movable vertex
-    movable = [(v, neighbors[v], incident[v])
+    movable = [(v, neighbors[nb_at[v]:nb_at[v + 1]],
+                incident[inc_at[v]:inc_at[v + 1]])
                for v in np.flatnonzero(~mesh.boundary_mask).tolist()
-               if len(neighbors[v])]
+               if nb_at[v + 1] > nb_at[v]]
     sweeps = (_planar_laplace_steps if etype in _PLANAR_MEASURES
               else _volume_laplace_steps)
     return sweeps(verts, elems, etype, ref_sign, movable)
@@ -352,11 +353,10 @@ def _volume_laplace_steps(verts, elems, etype, ref_sign, movable):
     top = [0] * len(elems)   # the highest wave in each element so far
     waves = {}
     for v, nb, inc in movable:
-        ids = inc.tolist()
-        wave = 1 + max(top[e] for e in ids)
-        for e in ids:
+        wave = 1 + max(top[e] for e in inc)
+        for e in inc:
             top[e] = wave
-        waves.setdefault(wave, []).append((v, nb.tolist(), inc))
+        waves.setdefault(wave, []).append((v, nb, inc))
     plan = []
     for wave in waves.values():
         vids, nbs, incs = zip(*wave)
@@ -414,7 +414,7 @@ def _planar_laplace_steps(verts, elems, etype, ref_sign, movable):
     measure = _PLANAR_MEASURES[etype]
     pts = verts.tolist()
     rows, signs = elems.tolist(), ref_sign.tolist()
-    plan = [(v, nb.tolist(), [(rows[e], signs[e]) for e in inc.tolist()])
+    plan = [(v, nb, [(rows[e], signs[e]) for e in inc])
             for v, nb, inc in movable]
     while True:
         for v, nb, elements in plan:

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from getme import (
+    KINDS,
     ElementType,
     GeneratorSpec,
     InvalidSpec,
+    Mesh,
     detect_boundary,
     generate,
     mesh_quality,
     validate,
 )
+from getme import generators
+from getme.generators import _apply_jitter
 
 
 def test_spec_validation():
@@ -138,3 +142,88 @@ def test_grid_numbering_is_pinned(kind):
     step = np.zeros(mesh.dimension)
     step[0 if mesh.dimension == 2 else 2] = 0.5
     assert np.array_equal(mesh.vertices[1] - mesh.vertices[0], step)
+
+
+def full_check_jitter(mesh, amplitude, rng, max_rounds=60):
+    """`_apply_jitter` as it was before it re-checked only the elements
+    that touch a redrawn vertex: a full `validate` every round."""
+    if amplitude <= 0:
+        return mesh
+    interior = np.flatnonzero(~mesh.boundary_mask)
+    if not len(interior):
+        return mesh
+    verts = mesh.vertices.copy()
+    base = verts[interior].copy()
+    scale = np.full(len(interior), amplitude)
+    verts[interior] = base + rng.uniform(-1, 1, base.shape) * scale[:, None]
+    current = mesh.with_vertices(verts)
+    for _ in range(max_rounds):
+        bad = generators.validate(current)
+        if not bad:
+            return current
+        bad_verts = np.unique(mesh.elements[bad])
+        redraw = np.isin(interior, bad_verts)
+        scale[redraw] *= 0.5
+        verts[interior[redraw]] = (
+            base[redraw]
+            + rng.uniform(-1, 1, (redraw.sum(), verts.shape[1])) * scale[redraw, None]
+        )
+        current = mesh.with_vertices(verts)
+    verts[interior[redraw]] = base[redraw]
+    current = mesh.with_vertices(verts)
+    return current if not generators.validate(current) else mesh
+
+
+def same_bytes(a, b):
+    return a.element_type is b.element_type and all(
+        x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in ((a.vertices, b.vertices), (a.elements, b.elements),
+                     (a.boundary_mask, b.boundary_mask)))
+
+
+def counting_validate(monkeypatch):
+    """Count the calls `generators` makes to `validate`."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(generators, "validate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", [k for k in KINDS if k != "two-triangle-flip"])
+def test_jitter_matches_full_check_reference(kind, monkeypatch):
+    calls = counting_validate(monkeypatch)
+    for res in (2, 3, 5, 8, 12):
+        for jitter in (0.0, 0.3, 0.45, 0.49):
+            for seed in range(4):
+                spec = GeneratorSpec(kind, res, jitter, seed)
+                del calls[:]
+                got, rounds = generate(spec), len(calls)
+                with monkeypatch.context() as patched:
+                    patched.setattr(generators, "_apply_jitter",
+                                    full_check_jitter)
+                    del calls[:]
+                    want = generate(spec)
+                assert same_bytes(got, want), spec
+                assert rounds == len(calls), spec
+
+
+@pytest.mark.parametrize("pin_fails", [False, True])
+def test_jitter_last_resort_matches_full_check_reference(pin_fails,
+                                                         monkeypatch):
+    mesh = generate(GeneratorSpec("cube-tet", resolution=3))
+    if pin_fails:   # an inverted element that no interior vertex can mend
+        mesh = Mesh(mesh.vertices, np.concatenate(
+            [mesh.elements, mesh.elements[:1, [1, 0, 2, 3]]]), "tet",
+            mesh.boundary_vertices)
+    calls = counting_validate(monkeypatch)
+    got = _apply_jitter(mesh, 0.49 / 3, np.random.default_rng(4), max_rounds=1)
+    rounds = len(calls)
+    want = full_check_jitter(mesh, 0.49 / 3, np.random.default_rng(4),
+                             max_rounds=1)
+    assert rounds == len(calls) - rounds == 2   # one round, then the pin
+    assert same_bytes(got, want)
+    assert (got is mesh) == pin_fails

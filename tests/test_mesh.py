@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import numpy as np
@@ -16,11 +17,14 @@ from getme import (
     generate,
     validate,
 )
+from getme.geometry import EPS_DEGENERATE
 from getme.mesh import (
     ELEMENT_EDGES,
     ELEMENT_FACES,
+    _element_scales,
     _facet_table,
     _group,
+    _sorted_columns,
     det3,
     edge_neighbors,
 )
@@ -80,6 +84,59 @@ def test_with_vertices_keeps_flags():
     moved = m.with_vertices(m.vertices + 1.0)
     assert moved.boundary_vertices == {0, 2}
     assert np.array_equal(moved.elements, m.elements)
+
+
+def test_mesh_refuses_non_integral_and_boolean_indices():
+    verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    for elements in ([(0, 1, 2.7), (1, 3, 2)], [(0, 1, np.nan)],
+                     [(0, 1, np.inf)], np.array([(True, False, True)])):
+        with pytest.raises(InvalidMesh, match="element indices must be integers"):
+            Mesh(verts, elements, "triangle")
+    for boundary in ([1.5], [True, False], np.array([True, False, False, True]),
+                     [np.nan], {0.5}):
+        with pytest.raises(InvalidMesh,
+                           match="boundary vertex indices must be integers"):
+            Mesh(verts, [(0, 1, 2)], "triangle", boundary_vertices=boundary)
+
+
+def test_mesh_accepts_integral_and_empty_indices():
+    verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    want = Mesh(verts, [(0, 1, 2), (1, 3, 2)], "triangle", boundary_vertices=[0, 3])
+    for elements, boundary in (
+            (np.array([(0, 1, 2), (1, 3, 2)], dtype=float), np.array([3.0, 0.0])),
+            (np.array([(0, 1, 2), (1, 3, 2)], dtype=np.uint8), {0, 3}),
+            ([(0, 1, 2), (1, 3, 2)], np.array([0, 3], dtype=np.int32))):
+        got = Mesh(verts, elements, "triangle", boundary_vertices=boundary)
+        assert got == want and got.elements.dtype == np.int64
+    for empty in ((), [], set(), np.empty(0)):
+        got = Mesh(verts, [(0, 1, 2)], "triangle", boundary_vertices=empty)
+        assert not got.boundary_mask.any()
+    got = Mesh(verts, np.empty((0, 3)), "triangle")
+    assert got.elements.shape == (0, 3) and got.elements.dtype == np.int64
+
+
+def test_with_vertices_checks_only_the_new_coordinates():
+    m = Mesh(SQUARE_2TRI.vertices, SQUARE_2TRI.elements, "triangle",
+             boundary_vertices=[0, 2])
+    for shape in ((3, 2), (4, 3), (8,)):
+        with pytest.raises(InvalidMesh, match="shape"):
+            m.with_vertices(np.zeros(shape))
+    for bad in (np.nan, np.inf, -np.inf):
+        verts = m.vertices.copy()
+        verts[1, 0] = bad
+        with pytest.raises(InvalidMesh, match="finite"):
+            m.with_vertices(verts)
+    verts = [[0, 0], [2, 0], [2, 2], [0, 3]]   # ints, converted to float
+    moved = m.with_vertices(verts)
+    assert moved == Mesh(verts, m.elements, "triangle", boundary_vertices=[0, 2])
+    assert moved.vertices.dtype == float and moved.boundary_vertices == {0, 2}
+    assert m.vertices[3, 1] == 1.0   # the source keeps its coordinates
+    for a in (moved.vertices, moved.elements, moved.boundary_mask):
+        assert not a.flags.writeable
+    new = m.vertices + 1.0
+    moved = m.with_vertices(new)
+    new[0, 0] = 99.0   # the moved mesh keeps its own copy
+    assert moved.vertices[0, 0] == 1.0
 
 
 def test_mesh_equality():
@@ -176,6 +233,34 @@ def test_facet_table_matches_row_unique_reference(name):
     got = edge_neighbors(mesh)
     assert all(n.dtype == np.int64 for n in got)
     assert [n.tolist() for n in got] == row_unique_neighbors(mesh)
+    etype = mesh.element_type
+    for local in (ELEMENT_EDGES[etype], ELEMENT_FACES.get(etype, ((0, 1),))):
+        rows, counts = _facet_table(mesh, local)
+        want_rows, want_counts = np.unique(sorted_facets(mesh, local), axis=0,
+                                           return_counts=True)
+        assert rows.dtype == np.int64 and np.array_equal(rows, want_rows)
+        assert np.array_equal(counts, want_counts)
+
+
+@pytest.mark.parametrize("width", range(2, 9))
+def test_sorting_network_sorts_every_zero_one_row(width):
+    # a compare-exchange network that sorts every 0/1 input sorts every
+    # input (the 0-1 principle)
+    rows = (np.arange(2**width)[:, None] >> np.arange(width)) & 1
+    got = np.stack(_sorted_columns(rows.T), axis=1)
+    assert np.array_equal(got, np.sort(rows, axis=1))
+
+
+def test_sorting_network_sorts_int64_rows_with_ties_and_extremes():
+    rng = np.random.default_rng(17)
+    big = 2**63 - 1
+    pool = np.array([-big, -7, -1, 0, 0, 3, 5, big], dtype=np.int64)
+    for width in range(2, 9):
+        for rows in (rng.choice(pool, (2_000, width)),
+                     rng.integers(-big, big, (2_000, width), endpoint=True)):
+            got = np.stack(_sorted_columns(rows.T), axis=1)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.sort(rows, axis=1))
 
 
 def per_part_group(keys, values, n):
@@ -208,7 +293,9 @@ def test_group_orders_values_within_each_key():
     rng = np.random.default_rng(5)
     keys = rng.integers(0, 30, 500)
     values = rng.integers(-50, 50, 500)   # with repeats inside a key
-    assert same_groups(_group(keys, values, 40),
+    grouped, offsets = _group(keys, values, 40)
+    assert offsets[0] == 0 and offsets[-1] == len(keys)
+    assert same_groups(np.split(grouped, offsets[1:-1]),
                        per_part_group(keys, values, 40))
 
 
@@ -240,6 +327,65 @@ def test_validate_flags_degenerate():
     verts = [[0.0, 0.0], [1.0, 0.0], [0.5, 0.0], [0.5, 1.0]]
     mesh = Mesh(verts, [[0, 1, 2], [0, 1, 3]], "triangle")
     assert validate(mesh) == [0]
+
+
+def ptp_validate(mesh, reference_orientation=None, reference_normals=None):
+    """`validate` with the element scale as first written, through
+    `np.ptp` along the vertex axis."""
+    points = mesh.element_points()
+    measures = element_signed_measures(points, mesh.element_type,
+                                       reference_normals)
+    signs = (np.ones(len(points)) if reference_orientation is None
+             else np.asarray(reference_orientation, dtype=float))
+    power = 3 if mesh.element_type in (ElementType.TET, ElementType.HEX) else 2
+    threshold = EPS_DEGENERATE * np.ptp(points, axis=1).max(axis=-1) ** power
+    return np.flatnonzero(~(measures * signs > threshold)).tolist()
+
+
+def with_special_rows(mesh, rng):
+    """`mesh` with jittered vertices and, past `Mesh`'s checks, NaN, inf,
+    -inf, signed zeros, overflowing spans and zero-span elements."""
+    verts = mesh.vertices + rng.uniform(-0.2, 0.2, mesh.vertices.shape)
+    elems = mesh.elements
+    verts[elems[0, 0], 0] = np.nan
+    verts[elems[1, 1], -1] = np.inf
+    verts[elems[2, 0], 0] = -np.inf
+    verts[elems[3]] = 0.0          # zero span, mixed signs of zero
+    verts[elems[3, 1:]] = -0.0
+    verts[elems[4]] = -0.0         # zero span, all -0.0
+    verts[elems[5, 0]] = 1e308     # finite coordinates, infinite span
+    verts[elems[5, 1]] = -1e308
+    verts[elems[6, 1], 0] = -0.0
+    verts[elems[6, 2], -1] = 0.0
+    special = copy.copy(mesh)
+    special.vertices = verts
+    return special
+
+
+@pytest.mark.parametrize("kind", ["jittered-square-tri", "quad-grid-with-hole",
+                                  "cube-tet", "cube-hex", "surface-tri"])
+def test_validate_matches_ptp_scale_reference(kind):
+    rng = np.random.default_rng(29)
+    if kind == "surface-tri":   # a 3D triangle mesh: needs reference normals
+        flat = generate(GeneratorSpec("jittered-square-tri", resolution=4))
+        lifted = np.c_[flat.vertices, flat.vertices[:, 0] * flat.vertices[:, 1]]
+        mesh = Mesh(lifted, flat.elements, "triangle")
+        normals = rng.standard_normal((len(mesh.elements), 3))
+    else:
+        mesh = generate(GeneratorSpec(kind, resolution=4))
+        normals = None
+    special = with_special_rows(mesh, rng)
+    points = special.element_points()
+    orientation = rng.choice([-1.0, 1.0], len(mesh.elements))
+    with np.errstate(all="ignore"):
+        assert np.array_equal(_element_scales(points),
+                              np.ptp(points, axis=1).max(axis=-1),
+                              equal_nan=True)
+        for reference in (None, orientation):
+            got = validate(special, reference, normals)
+            assert got == ptp_validate(special, reference, normals)
+            assert {0, 1, 2, 3, 4, 5} <= set(got)
+            assert len(got) < len(mesh.elements)
 
 
 def test_generator_meshes_are_valid():

@@ -285,6 +285,28 @@ def test_smart_laplace_rejects_inverting_move():
     assert validate(result.mesh) == []
 
 
+def one_sided_fan(inverted_first):
+    """A convex-kernel fan whose barycenter move inverts one triangle only,
+    listed as the centre's first or last incident element."""
+    ring = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 3.0], [3.5, 1.0], [0.0, 3.0]])
+    verts = np.vstack([[3.4, 0.2], ring])
+    tris = [[0, 1, 2], [0, 2, 3], [0, 4, 5], [0, 5, 1], [0, 3, 4]]
+    if inverted_first:
+        tris = tris[::-1]
+    return Mesh(verts, tris, "triangle", boundary_vertices=range(1, 6))
+
+
+@pytest.mark.parametrize("inverted_first", [True, False])
+def test_smart_laplace_rejects_a_move_inverting_one_end_element(inverted_first):
+    mesh = one_sided_fan(inverted_first)
+    assert validate(mesh) == []
+    plain = mesh.vertices.copy()
+    plain[0] = mesh.vertices[1:].mean(axis=0)
+    assert validate(mesh.with_vertices(plain)) == [0 if inverted_first else 4]
+    result = smart_laplace(mesh)
+    assert np.array_equal(result.mesh.vertices, mesh.vertices)
+
+
 def reference_laplace_steps(mesh, rejected=None):
     """SmartLaplace as a per-vertex numpy sweep: the bits `smart_laplace`
     must reproduce.  Appends each rejected vertex to `rejected`, if given."""

@@ -12,7 +12,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import InvalidSpec
-from .mesh import ElementType, Mesh, detect_boundary, validate
+from .mesh import ElementType, Mesh, _is_integer, detect_boundary, validate
 
 KINDS = (
     "jittered-square-tri",
@@ -36,8 +36,12 @@ class GeneratorSpec:
             raise InvalidSpec(f"unknown generator kind {self.kind!r}")
         if not (0.0 <= self.jitter < 0.5):
             raise InvalidSpec("jitter must lie in [0, 0.5)")
+        if not _is_integer(self.resolution):
+            raise InvalidSpec("resolution must be an integer")
         if self.kind != "two-triangle-flip" and self.resolution < 2:
             raise InvalidSpec("resolution must be >= 2")
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            raise InvalidSpec("seed must be an integer >= 0")
 
 
 def _apply_jitter(mesh, amplitude, rng, max_rounds=60):

@@ -360,10 +360,8 @@ def read_mesh(path, format=None):
 def write_mesh(mesh, path, format=None):
     """Write a mesh file; the format defaults to the file extension."""
     format = format or detect_format(path)
+    writers = {"medit": write_medit, "vtk": write_vtk}
+    if format not in writers:
+        raise ValueError(f"unknown format {format!r}")
     with open(path, "w", encoding="ascii") as fh:
-        if format == "medit":
-            write_medit(mesh, fh)
-        elif format == "vtk":
-            write_vtk(mesh, fh)
-        else:
-            raise ValueError(f"unknown format {format!r}")
+        writers[format](mesh, fh)

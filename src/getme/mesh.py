@@ -3,6 +3,7 @@ detection and validity reporting."""
 
 import copy
 import enum
+import numbers
 from functools import reduce
 
 import numpy as np
@@ -128,6 +129,11 @@ class Mesh:
             and np.array_equal(self.elements, other.elements)
             and np.array_equal(self.boundary_mask, other.boundary_mask)
         )
+
+
+def _is_integer(value):
+    """Whether `value` is a Python or numpy integer; booleans are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _indices(values, what):

@@ -110,7 +110,7 @@ class QualityReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def mesh_quality(mesh, iteration_trace=None):
+def mesh_quality(mesh):
     """QualityReport for a whole mesh, dispatching on element type."""
     qualities = element_qualities(mesh.element_points(), mesh.element_type)
-    return QualityReport.from_qualities(qualities, iteration_trace)
+    return QualityReport.from_qualities(qualities)

@@ -13,9 +13,11 @@ arithmetic mean of its images across the incident elements.  With the guard
 active, vertex moves that would invert an element are rolled back, so a
 guarded run never introduces new inverted elements; the rollback's last
 pass measures the orientation the next iteration starts from, so each
-accepted vertex state is measured once.  Meshes must have elements, and
-triangle meshes must be planar: nothing here projects a moved vertex back
-onto a surface.
+accepted vertex state is measured once.  SmartLaplace sweeps every element
+type the same way, one colour of a greedy vertex colouring at a time, where
+no two vertices of a colour share an element.  Meshes must have elements,
+and triangle meshes must be planar: nothing here projects a moved vertex
+back onto a surface.
 """
 
 import math
@@ -38,6 +40,7 @@ from .mesh import (
     Mesh,
     _edge_neighbors,
     _incident_elements,
+    _is_integer,
     element_signed_measures,
     hex_corner_dets,
 )
@@ -82,12 +85,14 @@ class SmootherConfig:
     guard: str = GUARD_RESET
 
     def __post_init__(self):
-        if self.inner_iterations is not None and self.inner_iterations < 1:
-            raise ValueError("inner_iterations must be >= 1")
+        if self.inner_iterations is not None and not (
+                _is_integer(self.inner_iterations)
+                and self.inner_iterations >= 1):
+            raise ValueError("inner_iterations must be an integer >= 1")
         if not 0 < self.error_bound < math.inf:
             raise ValueError("error_bound must be positive and finite")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if not (_is_integer(self.max_iterations) and self.max_iterations >= 1):
+            raise ValueError("max_iterations must be an integer >= 1")
         if self.guard not in (GUARD_RESET, GUARD_NONE):
             raise ValueError(f"unknown guard policy {self.guard!r}")
 
@@ -312,53 +317,56 @@ def smart_laplace(mesh, cfg=SmootherConfig()):
 
     Every interior vertex is moved to the barycenter of its edge-connected
     neighbors; a move is discarded if it changes the sign of the measure of
-    any incident element.  Vertices are processed in index order on the
-    current positions, which keeps runs bit-reproducible.  Planar meshes
-    (tri, quad) are swept on Python floats in numpy's exact operation
-    order, and tet and hex meshes one wavefront of vertices that share no
-    element at a time, so both sweeps give the bits of a per-vertex numpy
-    loop.
+    any incident element.  Each sweep is a Gauss-Seidel sweep on the current
+    positions, one colour of a greedy vertex colouring at a time
+    (`_laplace_waves`), which keeps runs bit-reproducible.  No two vertices
+    of a colour share an element, so moving a whole colour at once gives
+    the bits of a per-vertex numpy loop in (colour, index) order.
     """
     return _iterate(mesh, cfg, _laplace_steps(mesh))
 
 
-def _laplace_steps(mesh):
+def _laplace_waves(mesh):
+    """The movable vertices as (vertex, sorted neighbors, incident elements),
+    grouped by colour: {colour: [...]} in ascending colour and vertex order.
+
+    The colouring is greedy in index order: a vertex takes the lowest colour
+    that none of its incident elements holds yet, so no two vertices of a
+    colour share an element.  A colour first appears once every lower one
+    has, so the dict's insertion order is the ascending colour order.
+    """
     neighbors, nb_at = (a.tolist() for a in _edge_neighbors(mesh))
     incident, inc_at = (a.tolist() for a in _incident_elements(mesh))
-    etype, elems = mesh.element_type, mesh.elements
-    verts = mesh.vertices.copy()
-    ref_sign = np.sign(element_signed_measures(verts[elems], etype))
-    # (vertex, sorted neighbors, incident elements) for each movable vertex
-    movable = [(v, neighbors[nb_at[v]:nb_at[v + 1]],
-                incident[inc_at[v]:inc_at[v + 1]])
-               for v in np.flatnonzero(~mesh.boundary_mask).tolist()
-               if nb_at[v + 1] > nb_at[v]]
-    sweeps = (_planar_laplace_steps if etype in _PLANAR_MEASURES
-              else _volume_laplace_steps)
-    return sweeps(verts, elems, etype, ref_sign, movable)
-
-
-def _volume_laplace_steps(verts, elems, etype, ref_sign, movable):
-    """Tet and hex sweeps, one wavefront at a time.
-
-    A vertex's wave is one more than the highest wave of any lower-indexed
-    movable vertex it shares an element with, so no two vertices of a wave
-    share an element.  Moving a whole wave at once, and measuring all its
-    incident elements in one call, then gives the bits of the index-order
-    sweep.  The neighbor sums run over a gather padded with a -0.0 row,
-    since x + -0.0 == x for every x, -0.0 included.
-    """
-    n = len(verts)
-    work = np.vstack([verts, np.full((1, verts.shape[1]), -0.0)])
-    top = [0] * len(elems)   # the highest wave in each element so far
+    held = [0] * len(mesh.elements)   # bitmask of the colours in each element
     waves = {}
-    for v, nb, inc in movable:
-        wave = 1 + max(top[e] for e in inc)
+    for v in np.flatnonzero(~mesh.boundary_mask).tolist():
+        if nb_at[v + 1] == nb_at[v]:
+            continue
+        inc = incident[inc_at[v]:inc_at[v + 1]]
+        taken = 0
         for e in inc:
-            top[e] = wave
-        waves.setdefault(wave, []).append((v, nb, inc))
+            taken |= held[e]
+        bit = ~taken & (taken + 1)   # the lowest colour not taken
+        for e in inc:
+            held[e] |= bit
+        waves.setdefault(bit.bit_length() - 1, []).append(
+            (v, neighbors[nb_at[v]:nb_at[v + 1]], inc))
+    return waves
+
+
+def _laplace_steps(mesh):
+    """SmartLaplace sweeps, one colour of `_laplace_waves` at a time.
+
+    Each colour moves at once and measures all its incident elements in one
+    call.  The neighbor sums run over a gather padded with a -0.0 row, since
+    x + -0.0 == x for every x, -0.0 included.
+    """
+    etype, elems = mesh.element_type, mesh.elements
+    n = len(mesh.vertices)
+    work = np.vstack([mesh.vertices, np.full((1, mesh.dimension), -0.0)])
+    ref_sign = np.sign(element_signed_measures(work[elems], etype))
     plan = []
-    for wave in waves.values():
+    for wave in _laplace_waves(mesh).values():
         vids, nbs, incs = zip(*wave)
         k = max(map(len, nbs))
         inc = np.concatenate(incs)
@@ -378,57 +386,3 @@ def _volume_laplace_steps(verts, elems, etype, ref_sign, movable):
             bad = np.bincount(owner, weights=np.sign(m) != sign) > 0
             work[vids[bad]] = old[bad]
         yield work[:n]
-
-
-def _triangle_measure(pts, ids):
-    """`element_signed_measures` of one 2D triangle, on Python floats."""
-    a, b, c = ids
-    (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
-    ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
-    return 2.0 * (0.5 * (ux * vy - uy * vx))
-
-
-def _quad_measure(pts, ids):
-    """`element_signed_measures` of one quad, on Python floats; numpy sums
-    the four cross terms left to right."""
-    a, b, c, d = ids
-    (ax, ay), (bx, by), (cx, cy), (dx, dy) = pts[a], pts[b], pts[c], pts[d]
-    return 0.5 * ((((ax * by - bx * ay) + (bx * cy - cx * by))
-                   + (cx * dy - dx * cy)) + (dx * ay - ax * dy))
-
-
-_PLANAR_MEASURES = {
-    ElementType.TRIANGLE: _triangle_measure,
-    ElementType.QUAD: _quad_measure,
-}
-
-
-def _planar_laplace_steps(verts, elems, etype, ref_sign, movable):
-    """Tri and quad sweeps on Python floats.
-
-    The proposal sums the sorted neighbors left to right from 0.0, as
-    `mean(axis=0)` does, so a sum of -0.0s gives 0.0.  A move is
-    rejected as `np.sign(m) != ref_sign` would: on a NaN on either side, or
-    on any other sign than the reference's.
-    """
-    measure = _PLANAR_MEASURES[etype]
-    pts = verts.tolist()
-    rows, signs = elems.tolist(), ref_sign.tolist()
-    plan = [(v, nb, [(rows[e], signs[e]) for e in inc])
-            for v, nb, inc in movable]
-    while True:
-        for v, nb, elements in plan:
-            x = y = 0.0
-            for u in nb:
-                ux, uy = pts[u]
-                x += ux
-                y += uy
-            old = pts[v]
-            pts[v] = (x / len(nb), y / len(nb))
-            for ids, sign in elements:
-                m = measure(pts, ids)
-                if (m > 0.0) - (m < 0.0) != sign or m != m:
-                    pts[v] = old
-                    break
-        verts[:] = pts
-        yield verts

@@ -28,6 +28,14 @@ def test_spec_validation():
     with pytest.raises(InvalidSpec):
         GeneratorSpec("cube-tet", resolution=1)
     GeneratorSpec("two-triangle-flip")  # no resolution constraint
+    # counts must be integers: floats and booleans are refused, not
+    # truncated, and numpy integers are accepted
+    for bad in ({"resolution": 4.5}, {"resolution": True}, {"seed": 1.5},
+                {"seed": -1}, {"seed": False}, {"resolution": 4.0}):
+        with pytest.raises(InvalidSpec):
+            GeneratorSpec("cube-tet", **bad)
+    spec = GeneratorSpec("cube-tet", resolution=np.int32(3), seed=np.int64(2))
+    assert generate(spec) == generate(GeneratorSpec("cube-tet", 3, seed=2))
 
 
 def test_square_tri_structure():

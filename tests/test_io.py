@@ -56,6 +56,15 @@ def test_format_detection(tmp_path):
     assert read_mesh(path, format="medit") == mesh
 
 
+def test_unknown_write_format_leaves_the_target_file(tmp_path):
+    path = tmp_path / "keep.mesh"
+    write_mesh(sample_meshes()[0], path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        write_mesh(sample_meshes()[1], path, format="stl")
+    assert path.read_bytes() == before
+
+
 def test_medit_boundary_tags(tmp_path):
     mesh = generate(GeneratorSpec("jittered-square-tri", resolution=2))
     path = tmp_path / "m.mesh"

@@ -33,7 +33,6 @@ from getme.smoothing import (
     ELEMENT_TRIANGLES,
     GUARD_NONE,
     GUARD_RESET,
-    _PLANAR_MEASURES,
     _iterate,
     _orientation,
     _transform,
@@ -74,6 +73,15 @@ def test_config_validation():
             SmootherConfig(error_bound=bound)
     with pytest.raises(ValueError):
         SmootherConfig(guard="maybe")
+    # counts must be integers: floats and booleans are refused, not
+    # truncated or counted as 1, and numpy integers are accepted
+    for name in ("inner_iterations", "max_iterations"):
+        for bad in (2.5, 2.0, True, np.float64(3.0)):
+            with pytest.raises(ValueError):
+                SmootherConfig(**{name: bad})
+        cfg = SmootherConfig(**{name: np.int64(2)})
+        for smoother in (smooth, smart_laplace):
+            assert smoother(EQUILATERAL_MESH, cfg).iterations_run == 1
     # the gains are checked where they are used: alpha2 = 2*0.1 - 0.5 < 0
     # fails in smooth(), with or without the guard
     for guard in (GUARD_NONE, "reset"):
@@ -307,20 +315,38 @@ def test_smart_laplace_rejects_a_move_inverting_one_end_element(inverted_first):
     assert np.array_equal(result.mesh.vertices, mesh.vertices)
 
 
+def reference_colours(mesh):
+    """The movable vertices in (colour, index) order, as lists per colour:
+    each vertex, in index order, takes the lowest colour that no element
+    around it holds yet."""
+    neighbors = edge_neighbors(mesh)
+    incident = build_adjacency(mesh)
+    held = [set() for _ in mesh.elements]
+    colours = {}
+    for v in np.flatnonzero(~mesh.boundary_mask):
+        if not len(neighbors[v]):
+            continue
+        taken = set().union(*(held[e] for e in incident[v]))
+        colour = min(set(range(len(taken) + 1)) - taken)
+        for e in incident[v]:
+            held[e].add(colour)
+        colours.setdefault(colour, []).append(v)
+    return [colours[c] for c in sorted(colours)]
+
+
 def reference_laplace_steps(mesh, rejected=None):
-    """SmartLaplace as a per-vertex numpy sweep: the bits `smart_laplace`
-    must reproduce.  Appends each rejected vertex to `rejected`, if given."""
+    """SmartLaplace as a per-vertex numpy sweep in (colour, index) order:
+    the bits `smart_laplace` must reproduce.  Appends each rejected vertex
+    to `rejected`, if given."""
     neighbors = edge_neighbors(mesh)
     incident = build_adjacency(mesh)
     etype, elems = mesh.element_type, mesh.elements
     verts = mesh.vertices.copy()
-    interior = np.flatnonzero(~mesh.boundary_mask)
+    order = [v for colour in reference_colours(mesh) for v in colour]
     ref_sign = np.sign(element_signed_measures(verts[elems], etype))
 
     while True:
-        for v in interior:
-            if not len(neighbors[v]):
-                continue
+        for v in order:
             proposal = verts[neighbors[v]].mean(axis=0)
             old = verts[v].copy()
             verts[v] = proposal
@@ -387,11 +413,9 @@ LAPLACE_REFERENCE_MESHES = {
     "desk-hex10": spec_mesh("cube-hex", 10, 0.35, 7),
     "tet5-permuted": lambda: permuted(generate(
         GeneratorSpec("cube-tet", 5, 0.4, 3)), 13),
-    # the first sweep rejects a move on each of these; on the hex, vertices
-    # that share an element but no edge decide differently when they are
-    # moved together, so they must sit in different wavefronts
+    # the first sweep rejects a move on each of these
     "tet5-rejects": spec_mesh("cube-tet", 5, 0.49, 4),
-    "hex4-rejects": spec_mesh("cube-hex", 4, 0.49, 22),
+    "hex4-rejects": spec_mesh("cube-hex", 4, 0.49, 13),
     "overflowing-tets": overflowing_tets,
     **{f"disk8s{k}": spec_mesh("disk-tri", 8, 0.3, 7 + 1000 * k)
        for k in range(4)},
@@ -421,15 +445,19 @@ def test_smart_laplace_matches_numpy_reference(name):
             == np.array(want.report.iteration_trace).tobytes())
 
 
-def test_planar_measures_match_numpy_bits():
-    rng = np.random.default_rng(11)
-    for etype, measure in _PLANAR_MEASURES.items():
-        k = 3 if etype is ElementType.TRIANGLE else 4
-        pts = rng.standard_normal((2000, k, 2)) * 10.0 ** rng.integers(
-            -8, 9, size=(2000, 1, 1))
-        want = element_signed_measures(pts, etype)
-        got = [measure(p, range(k)) for p in pts.tolist()]
-        assert np.array(got).tobytes() == want.tobytes()
+@pytest.mark.parametrize("name", ["desk-tri20", "desk-quad10", "disk8s0",
+                                  "tet5-permuted", "desk-hex10",
+                                  "unused-vertex"])
+def test_laplace_waves_are_a_proper_colouring(name):
+    mesh = LAPLACE_REFERENCE_MESHES[name]()
+    waves = smoothing._laplace_waves(mesh)
+    assert list(waves) == list(range(len(waves)))
+    for wave in waves.values():
+        # no two vertices of a wave share an element
+        elements = [e for _, _, incident in wave for e in incident]
+        assert len(elements) == len(set(elements))
+    assert ([[v for v, _, _ in wave] for wave in waves.values()]
+            == reference_colours(mesh))
 
 
 def test_smart_laplace_rejects_every_move_on_non_finite_measures():
@@ -447,8 +475,7 @@ def test_smart_laplace_rejects_every_move_on_non_finite_measures():
     assert result.iterations_run == 1
 
 
-@pytest.mark.parametrize("name", ["desk-tet8", "tet5-rejects",
-                                  "hex4-rejects"])
+@pytest.mark.parametrize("name", ["tet5-rejects", "hex4-rejects"])
 def test_volume_reference_meshes_reject_a_move(name):
     mesh = LAPLACE_REFERENCE_MESHES[name]()
     rejected = []

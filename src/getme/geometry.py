@@ -33,6 +33,14 @@ class AdaptiveParams:
     scale about its centroid.  Construction only requires alpha0 and alpha1
     to be positive and finite so that the spectral analysis can scan the whole
     quadrant; the transformation itself additionally requires alpha2 > 0.
+
+    Only the ratio rho = alpha1 / alpha0 shapes the image: alpha0 scales
+    the transformed triangle about its centroid.  Triangle and quad
+    smoothing give each sub-triangle its area back after every pass, so
+    they depend on rho alone, up to rounding.  Tet and hex smoothing average
+    the face images of a closed surface on every pass and restore the
+    volume only at the end, so there alpha0 also acts as a step length
+    (README, "Gains").
     """
 
     alpha0: float = 1.0

@@ -14,7 +14,6 @@ from .geometry import (
     HEX_FACES,
     hex_corner_edges,
     signed_areas_2d,
-    triangle_normals,
 )
 
 
@@ -179,18 +178,6 @@ def _edge_neighbors(mesh):
                   len(mesh.vertices))
 
 
-def build_adjacency(mesh):
-    """Per-vertex arrays of incident element indices, duplicate-free."""
-    values, offsets = _incident_elements(mesh)
-    return np.split(values, offsets[1:-1])
-
-
-def edge_neighbors(mesh):
-    """Per-vertex arrays of the vertices sharing an element edge with it."""
-    values, offsets = _edge_neighbors(mesh)
-    return np.split(values, offsets[1:-1])
-
-
 def _facet_table(mesh, local):
     """The distinct facets of `mesh`, given as tuples of local vertex
     indices, as rows of sorted vertex indices in lexicographic order, and
@@ -239,22 +226,19 @@ def det3(m):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def element_signed_measures(points, element_type, reference_normals=None):
+def element_signed_measures(points, element_type):
     """Signed size of each element, positive for valid orientation.
 
-    Triangles: twice the signed area (2D) or the dot product of the normal
-    with a per-element reference normal (3D).  Quads: the signed polygon area.
-    Tets: the signed volume determinant.  Hexes: the smallest of the eight
-    corner-tetrahedron determinants.
+    Triangles: twice the signed area; 3D triangles have no orientation and
+    raise InvalidMesh.  Quads: the signed polygon area.  Tets: the signed
+    volume determinant.  Hexes: the smallest of the eight corner-tetrahedron
+    determinants.
     """
     points = np.asarray(points, dtype=float)
     if element_type is ElementType.TRIANGLE:
-        if points.shape[-1] == 2:
-            return 2.0 * signed_areas_2d(points)
-        if reference_normals is None:
-            raise InvalidMesh("3D triangle orientation needs reference normals")
-        return np.einsum("...i,...i->...", triangle_normals(points),
-                         np.asarray(reference_normals, dtype=float))
+        if points.shape[-1] != 2:
+            raise InvalidMesh("3D triangle meshes have no orientation")
+        return 2.0 * signed_areas_2d(points)
     if element_type is ElementType.QUAD:
         x, y = points[..., 0], points[..., 1]
         xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
@@ -271,19 +255,19 @@ def hex_corner_dets(points):
     return det3(hex_corner_edges(points))
 
 
-def validate(mesh, reference_orientation=None, reference_normals=None):
+def validate(mesh, reference_orientation=None):
     """Indices of inverted, (near-)degenerate or unmeasurable (NaN measure,
     from overflow) elements.
 
-    `reference_orientation` is a per-element sign array (+1 by default);
-    `reference_normals` supplies the comparison normals for 3D triangle
-    meshes.  Reporting only; never raises for bad elements.
+    `reference_orientation` is a per-element sign array (+1 by default).
+    Reporting only; never raises for bad elements, but a 3D triangle mesh
+    raises InvalidMesh.
     """
     n = len(mesh.elements)
     if n == 0:
         return []
     points = mesh.element_points()
-    measures = element_signed_measures(points, mesh.element_type, reference_normals)
+    measures = element_signed_measures(points, mesh.element_type)
     if reference_orientation is None:
         signs = np.ones(n)
     else:

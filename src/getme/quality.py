@@ -27,11 +27,6 @@ _REFERENCE_TET_INV = np.linalg.inv(REFERENCE_TET_FACTOR)
 HISTOGRAM_BINS = 20
 
 
-def quality_edge_ratio(points):
-    """Min over max boundary-edge length of a triangle or quad, in [0, 1]."""
-    return distortion(points)
-
-
 def _mean_ratio_from_edge_matrix(s):
     """3 det(S)^(2/3) / trace(S^t S), clipped to 0 for non-positive dets."""
     det = det3(s)
@@ -65,7 +60,7 @@ def quality_mean_ratio_hex(points):
 def element_qualities(points, element_type):
     """Per-element quality for a batch of same-type elements."""
     if element_type in (ElementType.TRIANGLE, ElementType.QUAD):
-        return np.atleast_1d(quality_edge_ratio(points))
+        return np.atleast_1d(distortion(points))
     if element_type is ElementType.TET:
         return np.atleast_1d(quality_mean_ratio_tet(points))
     if element_type is ElementType.HEX:
@@ -96,18 +91,25 @@ class QualityReport:
         )
 
     def to_dict(self):
+        """Aggregates and trace, with a non-finite value (an overflowed
+        measure) as None, so that the JSON form is strict."""
         return {
-            "mean": self.mean,
-            "min": self.min,
+            "mean": _finite_or_none(self.mean),
+            "min": _finite_or_none(self.min),
             "histogram": self.histogram,
             "trace": [
-                {"iter": it, "mean": m, "min": mn}
+                {"iter": it, "mean": _finite_or_none(m),
+                 "min": _finite_or_none(mn)}
                 for it, m, mn in self.iteration_trace
             ],
         }
 
     def to_json(self, indent=None):
-        return json.dumps(self.to_dict(), indent=indent)
+        return json.dumps(self.to_dict(), indent=indent, allow_nan=False)
+
+
+def _finite_or_none(value):
+    return value if math.isfinite(value) else None
 
 
 def mesh_quality(mesh):

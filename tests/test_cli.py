@@ -70,6 +70,33 @@ def test_quality_subcommand(tmp_path, capsys):
     assert sum(data["histogram"]) == 8
 
 
+def strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_reports_are_strict_json_when_quality_overflows(tmp_path):
+    # squared edge lengths of a mesh at 1e300 overflow, so every quality
+    # is NaN; the reports write it as null
+    mesh = generate(GeneratorSpec("jittered-square-tri", resolution=4,
+                                  jitter=0.4, seed=7))
+    m = tmp_path / "huge.mesh"
+    write_mesh(mesh.with_vertices(mesh.vertices * 1e300), m)
+    quality, smoothed = tmp_path / "q.json", tmp_path / "s.json"
+    with np.errstate(all="ignore"):
+        assert run(["quality", "--in", str(m), "--report", str(quality)]) == 0
+        # 3: the overflowed elements are reported invalid
+        assert run(["smooth", "--in", str(m), "--smoother", "getme",
+                    "--out", str(tmp_path / "s.mesh"),
+                    "--report", str(smoothed)]) == 3
+    data = strict_json(quality.read_text())
+    assert data["mean"] is None and data["min"] is None
+    data = strict_json(smoothed.read_text())
+    assert data["mean"] is None and data["min"] is None
+    assert data["trace"][0] == {"iter": 0, "mean": None, "min": None}
+
+
 def test_ode_compare_csv(tmp_path):
     out = tmp_path / "c.csv"
     assert run(["ode-compare", "--triangle", "0,0,1,0,0.2,0.8",

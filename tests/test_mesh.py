@@ -11,7 +11,6 @@ from getme import (
     InvalidMesh,
     InvalidTopology,
     Mesh,
-    build_adjacency,
     detect_boundary,
     element_signed_measures,
     generate,
@@ -21,12 +20,13 @@ from getme.geometry import EPS_DEGENERATE
 from getme.mesh import (
     ELEMENT_EDGES,
     ELEMENT_FACES,
+    _edge_neighbors,
     _element_scales,
     _facet_table,
     _group,
+    _incident_elements,
     _sorted_columns,
     det3,
-    edge_neighbors,
 )
 
 SQUARE_2TRI = Mesh(
@@ -146,14 +146,20 @@ def test_mesh_equality():
     assert a != a.with_vertices(a.vertices + 1.0)
 
 
+def per_vertex(grouped):
+    """A `_group` result split into one array per key."""
+    values, offsets = grouped
+    return np.split(values, offsets[1:-1])
+
+
 def test_build_adjacency():
-    adj = build_adjacency(SQUARE_2TRI)
+    adj = per_vertex(_incident_elements(SQUARE_2TRI))
     assert [list(a) for a in adj] == [[0, 1], [0], [0, 1], [1]]
 
 
 def test_adjacency_quad_grid_interior_valence():
     mesh = generate(GeneratorSpec("quad-grid-with-hole", resolution=4, jitter=0.0))
-    adj = build_adjacency(mesh)
+    adj = per_vertex(_incident_elements(mesh))
     interior = ~mesh.boundary_mask
     assert all(len(adj[v]) == 4 for v in np.flatnonzero(interior))
 
@@ -198,7 +204,7 @@ def row_unique_boundary(mesh):
 
 
 def row_unique_neighbors(mesh):
-    """`edge_neighbors` through np.unique over the sorted edge rows."""
+    """`_edge_neighbors` through np.unique over the sorted edge rows."""
     edges = sorted_facets(mesh, ELEMENT_EDGES[mesh.element_type])
     neighbors = [set() for _ in mesh.vertices]
     for a, b in np.unique(edges, axis=0).tolist():
@@ -230,7 +236,7 @@ FACET_MESHES["cube-hex-ids-above-55000"] = lambda: padded(
 def test_facet_table_matches_row_unique_reference(name):
     mesh = FACET_MESHES[name]()
     assert detect_boundary(mesh) == row_unique_boundary(mesh)
-    got = edge_neighbors(mesh)
+    got = per_vertex(_edge_neighbors(mesh))
     assert all(n.dtype == np.int64 for n in got)
     assert [n.tolist() for n in got] == row_unique_neighbors(mesh)
     etype = mesh.element_type
@@ -282,10 +288,10 @@ def test_group_matches_per_part_sort(name):
     mesh = FACET_MESHES[name]()
     n, elems = len(mesh.vertices), mesh.elements
     a, b = _facet_table(mesh, ELEMENT_EDGES[mesh.element_type])[0].T
-    assert same_groups(edge_neighbors(mesh), per_part_group(
+    assert same_groups(per_vertex(_edge_neighbors(mesh)), per_part_group(
         np.concatenate([a, b]), np.concatenate([b, a]), n))
     elem_ids = np.repeat(np.arange(len(elems)), elems.shape[1])
-    assert same_groups(build_adjacency(mesh),
+    assert same_groups(per_vertex(_incident_elements(mesh)),
                        per_part_group(elems.ravel(), elem_ids, n))
 
 
@@ -329,12 +335,11 @@ def test_validate_flags_degenerate():
     assert validate(mesh) == [0]
 
 
-def ptp_validate(mesh, reference_orientation=None, reference_normals=None):
+def ptp_validate(mesh, reference_orientation=None):
     """`validate` with the element scale as first written, through
     `np.ptp` along the vertex axis."""
     points = mesh.element_points()
-    measures = element_signed_measures(points, mesh.element_type,
-                                       reference_normals)
+    measures = element_signed_measures(points, mesh.element_type)
     signs = (np.ones(len(points)) if reference_orientation is None
              else np.asarray(reference_orientation, dtype=float))
     power = 3 if mesh.element_type in (ElementType.TET, ElementType.HEX) else 2
@@ -363,17 +368,10 @@ def with_special_rows(mesh, rng):
 
 
 @pytest.mark.parametrize("kind", ["jittered-square-tri", "quad-grid-with-hole",
-                                  "cube-tet", "cube-hex", "surface-tri"])
+                                  "cube-tet", "cube-hex"])
 def test_validate_matches_ptp_scale_reference(kind):
     rng = np.random.default_rng(29)
-    if kind == "surface-tri":   # a 3D triangle mesh: needs reference normals
-        flat = generate(GeneratorSpec("jittered-square-tri", resolution=4))
-        lifted = np.c_[flat.vertices, flat.vertices[:, 0] * flat.vertices[:, 1]]
-        mesh = Mesh(lifted, flat.elements, "triangle")
-        normals = rng.standard_normal((len(mesh.elements), 3))
-    else:
-        mesh = generate(GeneratorSpec(kind, resolution=4))
-        normals = None
+    mesh = generate(GeneratorSpec(kind, resolution=4))
     special = with_special_rows(mesh, rng)
     points = special.element_points()
     orientation = rng.choice([-1.0, 1.0], len(mesh.elements))
@@ -382,8 +380,8 @@ def test_validate_matches_ptp_scale_reference(kind):
                               np.ptp(points, axis=1).max(axis=-1),
                               equal_nan=True)
         for reference in (None, orientation):
-            got = validate(special, reference, normals)
-            assert got == ptp_validate(special, reference, normals)
+            got = validate(special, reference)
+            assert got == ptp_validate(special, reference)
             assert {0, 1, 2, 3, 4, 5} <= set(got)
             assert len(got) < len(mesh.elements)
 

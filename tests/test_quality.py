@@ -9,10 +9,10 @@ from getme import (
     ElementType,
     GeneratorSpec,
     QualityReport,
+    distortion,
     element_qualities,
     generate,
     mesh_quality,
-    quality_edge_ratio,
     quality_mean_ratio_hex,
     quality_mean_ratio_tet,
 )
@@ -40,21 +40,21 @@ def random_isometry(rng, dim):
 
 
 def test_regular_elements_score_one():
-    assert abs(quality_edge_ratio(EQUILATERAL) - 1.0) < 1e-12
+    assert abs(distortion(EQUILATERAL) - 1.0) < 1e-12
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    assert abs(quality_edge_ratio(square) - 1.0) < 1e-12
+    assert abs(distortion(square) - 1.0) < 1e-12
     assert abs(quality_mean_ratio_tet(REGULAR_TET) - 1.0) < 1e-12
     assert abs(quality_mean_ratio_hex(UNIT_CUBE) - 1.0) < 1e-12
 
 
 def test_edge_ratio_right_triangle():
     tri = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 4.0]])
-    assert np.isclose(quality_edge_ratio(tri), 3.0 / 5.0)
+    assert np.isclose(distortion(tri), 3.0 / 5.0)
 
 
 def test_edge_ratio_degenerate_raises():
     with pytest.raises(DegenerateElement):
-        quality_edge_ratio(np.zeros((3, 2)))
+        distortion(np.zeros((3, 2)))
 
 
 def test_inverted_tet_scores_zero():
@@ -88,8 +88,8 @@ def test_qualities_are_isometry_and_scale_invariant():
         s = rng.uniform(0.1, 10.0)
 
         tri = rng.uniform(-1.0, 1.0, (3, 2))
-        assert np.isclose(quality_edge_ratio(s * tri @ rot2.T + t2),
-                          quality_edge_ratio(tri), atol=1e-10)
+        assert np.isclose(distortion(s * tri @ rot2.T + t2),
+                          distortion(tri), atol=1e-10)
 
         tet = rng.uniform(-1.0, 1.0, (4, 3))
         assert np.isclose(quality_mean_ratio_tet(s * tet @ rot3.T + t3),
@@ -128,6 +128,20 @@ def test_quality_report_json_schema():
     data = json.loads(report.to_json())
     assert set(data) == {"mean", "min", "histogram", "trace"}
     assert data["trace"] == [{"iter": 0, "mean": 0.625, "min": 0.5}]
+    # finite reports keep the bytes of plain json.dumps
+    assert report.to_json(indent=2) == json.dumps(
+        {"mean": 0.625, "min": 0.5, "histogram": report.histogram,
+         "trace": data["trace"]}, indent=2)
+
+
+def test_quality_report_json_writes_non_finite_as_null():
+    report = QualityReport.from_qualities(
+        [0.5, 0.75], iteration_trace=[(0, 0.625, 0.5), (1, math.nan, -math.inf)])
+    report.mean = math.inf
+    data = json.loads(report.to_json())
+    assert data["mean"] is None and data["min"] == 0.5
+    assert data["trace"] == [{"iter": 0, "mean": 0.625, "min": 0.5},
+                             {"iter": 1, "mean": None, "min": None}]
 
 
 def test_mesh_quality_on_generated_mesh():

@@ -28,7 +28,7 @@ from getme.geometry import (
     hex_face_barycenters,
     rescale_areas,
 )
-from getme.mesh import ELEMENT_FACES, build_adjacency, edge_neighbors
+from getme.mesh import ELEMENT_FACES, _edge_neighbors, _incident_elements
 from getme.smoothing import (
     ELEMENT_TRIANGLES,
     GUARD_NONE,
@@ -119,15 +119,40 @@ def tent():
     return Mesh(verts, tris, "triangle", boundary_vertices=range(4))
 
 
+GAIN_PAIRS = [(0.1, 0.15), (1.0, 1.5), (4.0, 6.0)]
+
+
+@pytest.mark.parametrize("kind, resolution, jitter", [
+    ("jittered-square-tri", 20, 0.4), ("quad-grid-with-hole", 10, 0.3)])
+def test_planar_smoothing_depends_on_the_gain_ratio_alone(kind, resolution,
+                                                          jitter):
+    # alpha0 scales each sub-triangle image, and the area rescale undoes it
+    mesh = generate(GeneratorSpec(kind, resolution, jitter, 7))
+    runs = [smooth(mesh, SmootherConfig(params=AdaptiveParams(*gains)))
+            for gains in GAIN_PAIRS]
+    assert len({r.iterations_run for r in runs}) == 1
+    for r in runs[1:]:
+        assert np.abs(r.mesh.vertices - runs[0].mesh.vertices).max() <= 1e-12
+
+
+def test_volume_smoothing_takes_alpha0_as_a_step_length():
+    # closed surfaces are averaged on every pass before any rescale
+    mesh = generate(GeneratorSpec("cube-tet", 3, 0.3, 7))
+    iterations = [smooth(mesh, SmootherConfig(params=AdaptiveParams(*gains)))
+                  .iterations_run for gains in GAIN_PAIRS[:2]]
+    assert iterations[0] != iterations[1]
+
+
 def test_3d_triangle_meshes_are_rejected(tmp_path):
-    # the smoothers do not project moved vertices back onto the surface
+    # the smoothers do not project moved vertices back onto the surface,
+    # and a surface triangle has no orientation to validate
     mesh = tent()
-    with pytest.raises(InvalidMesh):
-        smooth(mesh)
-    with pytest.raises(InvalidMesh):
-        smart_laplace(mesh)
+    for check in (smooth, smart_laplace, validate):
+        with pytest.raises(InvalidMesh):
+            check(mesh)
     src, out = tmp_path / "tent.mesh", tmp_path / "out.mesh"
     write_mesh(mesh, src)
+    assert run(["quality", "--in", str(src)]) == 0   # read and scored
     for smoother in ("getme", "smart-laplace"):
         assert run(["smooth", "--in", str(src), "--out", str(out),
                     "--smoother", smoother]) == 1
@@ -315,12 +340,18 @@ def test_smart_laplace_rejects_a_move_inverting_one_end_element(inverted_first):
     assert np.array_equal(result.mesh.vertices, mesh.vertices)
 
 
+def per_vertex(grouped):
+    """A `_group` result split into one array per key."""
+    values, offsets = grouped
+    return np.split(values, offsets[1:-1])
+
+
 def reference_colours(mesh):
     """The movable vertices in (colour, index) order, as lists per colour:
     each vertex, in index order, takes the lowest colour that no element
     around it holds yet."""
-    neighbors = edge_neighbors(mesh)
-    incident = build_adjacency(mesh)
+    neighbors = per_vertex(_edge_neighbors(mesh))
+    incident = per_vertex(_incident_elements(mesh))
     held = [set() for _ in mesh.elements]
     colours = {}
     for v in np.flatnonzero(~mesh.boundary_mask):
@@ -338,8 +369,8 @@ def reference_laplace_steps(mesh, rejected=None):
     """SmartLaplace as a per-vertex numpy sweep in (colour, index) order:
     the bits `smart_laplace` must reproduce.  Appends each rejected vertex
     to `rejected`, if given."""
-    neighbors = edge_neighbors(mesh)
-    incident = build_adjacency(mesh)
+    neighbors = per_vertex(_edge_neighbors(mesh))
+    incident = per_vertex(_incident_elements(mesh))
     etype, elems = mesh.element_type, mesh.elements
     verts = mesh.vertices.copy()
     order = [v for colour in reference_colours(mesh) for v in colour]

@@ -28,11 +28,11 @@ cube = np.array([
     [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1],
 ], dtype=float)
 
-octa, faces = hex_to_octahedron(cube)
+octa, _ = hex_to_octahedron(cube)
 print("dual octahedron vertices of the unit cube (face barycenters):")
 print(octa)
 
-back = octahedron_to_hex(octa, faces)
+back = octahedron_to_hex(octa)
 factor = (back - back.mean(0)) / (cube - cube.mean(0))
 print(f"\ncube -> octahedron -> hex shrinks edges by {factor[0, 0]:.4f}"
       " about the center (shape is preserved exactly)")

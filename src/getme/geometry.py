@@ -271,11 +271,10 @@ def hex_to_octahedron(hexahedron):
     return verts, OCTAHEDRON_FACES.copy()
 
 
-def octahedron_to_hex(verts, faces=None):
-    """Hexahedron whose vertex k is the barycenter of octahedron face k."""
+def octahedron_to_hex(verts):
+    """Hexahedra whose vertex k is the barycenter of octahedron face k, over
+    any leading axes: (..., 6, 3) octahedron vertices in, (..., 8, 3) out."""
     verts = np.asarray(verts, dtype=float)
-    if verts.shape != (6, 3):
-        raise ValueError("expected a (6, 3) vertex array")
-    if faces is None:
-        faces = OCTAHEDRON_FACES
-    return verts[np.asarray(faces)].mean(axis=-2)
+    if verts.shape[-2:] != (6, 3):
+        raise ValueError("expected a (..., 6, 3) vertex array")
+    return verts[..., OCTAHEDRON_FACES, :].mean(axis=-2)

@@ -4,7 +4,8 @@ unstructured grids (.vtk), exactly one element type per file.
 Medit vertex references double as boundary markers (tag != 0 means boundary).
 The VTK writer stores the boundary flags as integer point data so round
 trips preserve them; coordinates are written with 17 significant digits so
-round trips are exact at double precision.
+round trips are exact at double precision.  A section that holds vertices,
+elements or cell types may appear once per file; a repeat is a ParseError.
 """
 
 import os
@@ -68,6 +69,11 @@ class _Tokens:
         self.pos += 1
         return self.items[self.pos - 1], self.pos - 1
 
+    def once(self, value, keyword, at):
+        """Refuse a repeated section: `value` is what an earlier one read."""
+        if value is not None:
+            raise self.error(f"repeated {keyword} section", at, keyword)
+
     def next_int(self, what):
         return int(self.table(1, [(int, what)])[0][0])
 
@@ -129,8 +135,7 @@ def _table(row, *columns):
 
 def read_medit(text):
     tok = _Tokens(text)
-    dimension = vertices = elements = element_type = None
-    boundary = []
+    dimension = vertices = elements = element_type = boundary = None
     while tok.pos < len(tok.items):
         keyword, at = tok.next("keyword")
         if keyword == "MeshVersionFormatted":
@@ -142,18 +147,20 @@ def read_medit(text):
         elif keyword == "Vertices":
             if dimension is None:
                 raise tok.error("Vertices before Dimension", at)
+            tok.once(vertices, keyword, at)
             count = tok.next_count("vertex count", dimension + 1)
             columns = [(float, "coordinate")] * dimension
             *coords, refs = tok.table(count,
                                       columns + [(int, "vertex reference")])
             vertices = np.column_stack(coords)
-            boundary += np.flatnonzero(refs).tolist()
+            boundary = np.flatnonzero(refs).tolist()
         elif keyword in MEDIT_KEYWORDS:
             etype = MEDIT_KEYWORDS[keyword]
             if element_type is not None and element_type is not etype:
                 raise tok.error(
                     f"{keyword} after {MEDIT_SECTION[element_type]}", at,
                     cls=MixedElementTypes)
+            tok.once(elements, keyword, at)
             element_type = etype
             k = NODES_PER_ELEMENT[etype]
             count = tok.next_count("element count", k + 1)
@@ -214,13 +221,16 @@ def read_vtk(text):
     while tok.pos < len(tok.items):
         section, at = tok.next("section")
         if section == "POINTS":
+            tok.once(points, section, at)
             n = tok.next_count("point count", 3)
             tok.next("point data type")
             points = np.column_stack(tok.table(n, [(float, "coordinate")] * 3))
         elif section == "CELLS":
+            tok.once(cells, section, at)
             n = tok.next_count("cell count", 1)
             cells = _read_cells(tok, n, tok.next_count("cell list size", 1))
         elif section == "CELL_TYPES":
+            tok.once(cell_types, section, at)
             n = tok.next_count("cell type count", 1)
             cell_types, = tok.table(n, [(int, "cell type")])
         elif section in ("POINT_DATA", "CELL_DATA"):

@@ -255,25 +255,16 @@ def hex_corner_dets(points):
     return det3(hex_corner_edges(points))
 
 
-def validate(mesh, reference_orientation=None):
+def validate(mesh):
     """Indices of inverted, (near-)degenerate or unmeasurable (NaN measure,
-    from overflow) elements.
+    from overflow) elements: measure not above EPS_DEGENERATE * scale**dim.
 
-    `reference_orientation` is a per-element sign array (+1 by default).
     Reporting only; never raises for bad elements, but a 3D triangle mesh
     raises InvalidMesh.
     """
-    n = len(mesh.elements)
-    if n == 0:
+    if not len(mesh.elements):
         return []
     points = mesh.element_points()
     measures = element_signed_measures(points, mesh.element_type)
-    if reference_orientation is None:
-        signs = np.ones(n)
-    else:
-        signs = np.asarray(reference_orientation, dtype=float)
-    scale = _element_scales(points)
-    power = {"triangle": 2, "quad": 2, "tet": 3, "hex": 3}[mesh.element_type.value]
-    threshold = EPS_DEGENERATE * scale**power
-    bad = ~(measures * signs > threshold)
-    return np.flatnonzero(bad).tolist()
+    threshold = EPS_DEGENERATE * _element_scales(points) ** mesh.dimension
+    return np.flatnonzero(~(measures > threshold)).tolist()

@@ -11,13 +11,13 @@ from a frozen vertex snapshot, flipped elements are reset when the
 orientation guard is active, and each interior vertex then moves to the
 arithmetic mean of its images across the incident elements.  With the guard
 active, vertex moves that would invert an element are rolled back, so a
-guarded run never introduces new inverted elements; the rollback's last
-pass measures the orientation the next iteration starts from, so each
-accepted vertex state is measured once.  SmartLaplace sweeps every element
-type the same way, one colour of a greedy vertex colouring at a time, where
-no two vertices of a colour share an element.  Meshes must have elements,
-and triangle meshes must be planar: nothing here projects a moved vertex
-back onto a surface.
+guarded run never introduces new inverted elements.  Each accepted vertex
+state is gathered and measured once: its element points are scored by the
+outer loop and are the next iteration's snapshot.  SmartLaplace sweeps
+every element type the same way, one colour of a greedy vertex colouring at
+a time, where no two vertices of a colour share an element.  Meshes must
+have elements, and triangle meshes must be planar: nothing here projects a
+moved vertex back onto a surface.
 """
 
 import math
@@ -31,6 +31,7 @@ from .geometry import (
     OCTAHEDRON_FACES,
     STANDARD_PARAMS,
     hex_face_barycenters,
+    octahedron_to_hex,
     rescale_areas,
     transform_triangles,
 )
@@ -111,11 +112,14 @@ def adaptive_config(element_type, **overrides):
 
 @dataclass
 class SmoothingResult:
+    """`guard_resets` counts, per iteration, the elements `smooth()` reset or
+    rolled back (each once), or the moves SmartLaplace rejected.  The report
+    scores each accepted vertex state on the points gathered once for it."""
+
     mesh: Mesh
     report: QualityReport
     iterations_run: int
     guard_resets: list = field(default_factory=list)
-    degenerate_elements: set = field(default_factory=set)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +194,7 @@ def _transform(points, element_type, params, inner, orientation):
 
     cur = np.ascontiguousarray(cur.T)
     if hexes:
-        cur = cur[:, OCTAHEDRON_FACES].mean(axis=2)
+        cur = octahedron_to_hex(cur)
     volumes = _orientation(cur, element_type).sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         factor = np.cbrt(np.abs(orientation.sum(axis=-1) / volumes))
@@ -203,14 +207,14 @@ def _transform(points, element_type, params, inner, orientation):
 # ---------------------------------------------------------------------------
 
 
-def _iterate(mesh, cfg, steps, guard_resets=(), degenerate=()):
+def _iterate(mesh, cfg, steps):
     """The outer loop both smoothers share.
 
-    `steps` yields the vertex array after each iteration; it is advanced
-    only once the preconditions hold, and it may update the array it last
-    yielded in place.  The loop stops after `cfg.max_iterations`, or once
-    the mean quality gains less than `cfg.error_bound` (or NaN).  `guard_resets`
-    and `degenerate` are what the steps recorded, copied into the result.
+    `steps` yields, per iteration, the vertices, their element points and
+    the guard event count; it is advanced only once the preconditions hold,
+    and it may update the arrays it last yielded in place.  The loop scores
+    the yielded points and stops after `cfg.max_iterations`, or once the
+    mean quality gains less than `cfg.error_bound` (or NaN).
     """
     if mesh.element_type is ElementType.TRIANGLE and mesh.dimension == 3:
         raise InvalidMesh(
@@ -219,27 +223,26 @@ def _iterate(mesh, cfg, steps, guard_resets=(), degenerate=()):
         )
     if not len(mesh.elements):
         raise InvalidMesh("cannot smooth a mesh without elements")
-    etype, elems = mesh.element_type, mesh.elements
-    verts = mesh.vertices
-    q = element_qualities(verts[elems], etype)
+    etype, verts = mesh.element_type, mesh.vertices
+    q = element_qualities(mesh.element_points(), etype)
     trace = [(0, float(q.mean()), float(q.min()))]
+    guard_resets = []
     for it in range(1, cfg.max_iterations + 1):
-        verts = next(steps)
-        q = element_qualities(verts[elems], etype)
+        verts, points, events = next(steps)
+        guard_resets.append(events)
+        q = element_qualities(points, etype)
         trace.append((it, float(q.mean()), float(q.min())))
         if not trace[it][1] - trace[it - 1][1] >= cfg.error_bound:
             break
     report = QualityReport.from_qualities(q, trace)
     return SmoothingResult(mesh.with_vertices(verts), report, len(trace) - 1,
-                           list(guard_resets), set(degenerate))
+                           guard_resets)
 
 
 def smooth(mesh, cfg=SmootherConfig()):
     """Smooth a triangle (2D), quad, tet or hex mesh."""
     cfg.params.require_transform_valid()
-    guard_resets, degenerate = [], set()
-    steps = _getme_steps(mesh, cfg, guard_resets, degenerate)
-    return _iterate(mesh, cfg, steps, guard_resets, degenerate)
+    return _iterate(mesh, cfg, _getme_steps(mesh, cfg))
 
 
 def _vertex_sums(indices, values, n):
@@ -249,8 +252,9 @@ def _vertex_sums(indices, values, n):
                      for col in values.T], axis=1)
 
 
-def _getme_steps(mesh, cfg, guard_resets, degenerate):
-    """Simultaneous transform-and-average iterations of `smooth()`."""
+def _getme_steps(mesh, cfg):
+    """Simultaneous transform-and-average iterations of `smooth()`; each
+    accepted state's points and measures are the next snapshot's."""
     element_type = mesh.element_type
     inner = cfg.inner_for(element_type)
     guard_on = cfg.guard == GUARD_RESET
@@ -258,53 +262,46 @@ def _getme_steps(mesh, cfg, guard_resets, degenerate):
     counts = np.bincount(elems.ravel(), minlength=len(verts))
     pinned = ((counts == 0) | mesh.boundary_mask)[:, None]
     counts = np.maximum(counts, 1)[:, None]
-    orientation = None
+    points = verts[elems]
+    orientation = _orientation(points, element_type)
 
     while True:
-        snapshot = verts[elems]
-        if orientation is None:
-            orientation = _orientation(snapshot, element_type)
         sign = np.sign(orientation)
-        new = _transform(snapshot, element_type, cfg.params, inner,
-                         orientation)
+        new = _transform(points, element_type, cfg.params, inner, orientation)
 
         # Non-finite images are already bad, and every measure is taken row
         # by row, so the guard can measure `new` as it is.
         bad = ~np.all(np.isfinite(new.reshape(len(elems), -1)), axis=1)
-        degenerate.update(np.flatnonzero(bad).tolist())
         if guard_on:
             bad |= np.any(np.sign(_orientation(new, element_type)) != sign,
                           axis=1)
-        new = np.where(bad[:, None, None], snapshot, new)
-        resets = int(bad.sum())
+        new = np.where(bad[:, None, None], points, new)
 
         acc = _vertex_sums(elems.ravel(), new.reshape(-1, verts.shape[1]),
                            len(verts))
         moved = np.where(pinned, verts, acc / counts)
+        points = moved[elems]
+        orientation = _orientation(points, element_type)
 
-        orientation = None
-        if guard_on:
-            # Averaging images of neighboring elements can still invert an
-            # element even when every image is valid; roll the vertices of
-            # any newly inverted element back to their previous positions
-            # until no new inversions remain (the rolled-back set only
-            # grows, so this terminates).  The last pass measures the final
-            # `moved` on either exit, so the next iteration starts from it.
-            while True:
-                orientation = _orientation(moved[elems], element_type)
-                hit = np.flatnonzero(
-                    np.any(np.sign(orientation) != sign, axis=1))
-                if not len(hit):
-                    break
-                roll = np.unique(elems[hit])
-                if np.array_equal(moved[roll], verts[roll]):
-                    break
-                moved[roll] = verts[roll]
-                resets += len(hit)
+        # Averaging images of neighboring elements can still invert an
+        # element even when every image is valid; roll the vertices of any
+        # newly inverted element back to their previous positions until no
+        # new inversions remain (the rolled-back set only grows, so this
+        # terminates).  `bad` counts each reset element once.
+        while guard_on:
+            hit = np.any(np.sign(orientation) != sign, axis=1)
+            if not hit.any():
+                break
+            roll = np.unique(elems[hit])
+            if np.array_equal(moved[roll], verts[roll]):
+                break
+            moved[roll] = verts[roll]
+            bad |= hit
+            points = moved[elems]
+            orientation = _orientation(points, element_type)
 
-        guard_resets.append(resets)
         verts = moved
-        yield verts
+        yield verts, points, int(bad.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +375,7 @@ def _laplace_steps(mesh):
             np.repeat(np.arange(len(wave)), [len(i) for i in incs]),
         ))
     while True:
+        rejected = 0
         for vids, nbs, counts, conn, sign, owner in plan:
             old = work[vids]
             # the same bits as work[nb].mean(axis=0) per vertex
@@ -385,4 +383,5 @@ def _laplace_steps(mesh):
             m = element_signed_measures(work[conn], etype)
             bad = np.bincount(owner, weights=np.sign(m) != sign) > 0
             work[vids[bad]] = old[bad]
-        yield work[:n]
+            rejected += int(np.count_nonzero(bad))
+        yield work[:n], work[elems], rejected

@@ -226,11 +226,23 @@ def test_hex_to_octahedron_unit_cube():
 
 
 def test_octahedron_round_trip_shrinks_cube_to_one_third():
-    verts, faces = hex_to_octahedron(UNIT_CUBE)
-    small = octahedron_to_hex(verts, faces)
+    verts, _ = hex_to_octahedron(UNIT_CUBE)
+    small = octahedron_to_hex(verts)
     # the round trip is a homothety about the cube center with factor 1/3
     center = UNIT_CUBE.mean(axis=0)
     assert np.allclose(small, center + (UNIT_CUBE - center) / 3.0, atol=1e-14)
+
+
+def test_octahedron_to_hex_works_over_leading_axes():
+    rng = np.random.default_rng(5)
+    octahedra = rng.standard_normal((2, 3, 6, 3))
+    batched = octahedron_to_hex(octahedra)
+    assert batched.shape == (2, 3, 8, 3)
+    for i, j in np.ndindex(2, 3):
+        assert (batched[i, j].tobytes()
+                == octahedron_to_hex(octahedra[i, j]).tobytes())
+    with pytest.raises(ValueError):
+        octahedron_to_hex(octahedra[..., :2])
 
 
 def test_hex_faces_cover_all_corners():

@@ -231,6 +231,20 @@ CELL_IDS = "SCALARS id int 1\nLOOKUP_TABLE default\n7\n"
 VECTOR_SCALARS = ("SCALARS velocity double 3\nLOOKUP_TABLE default\n"
                   "1 0 0\n0 1 0\n0 0 1\n")
 
+#: Repeated sections, as a file name and an (old, new) text pair where the
+#: new text opens with the repeat.
+REPEATED = {
+    "medit-repeated-vertices": ("m.mesh", "Triangles",
+                                "Vertices\n3\n0 0 0\n2 0 0\n0 2 0\nTriangles"),
+    "medit-repeated-triangles": ("m.mesh", "End", "Triangles\n1\n1 3 2 0\nEnd"),
+    "vtk-repeated-points": ("m.vtk", "CELLS 1 4",
+                            "POINTS 3 double\n0 0 0\n2 0 0\n0 2 0\nCELLS 1 4"),
+    "vtk-repeated-cells": ("m.vtk", "CELL_TYPES 1",
+                           "CELLS 1 4\n3 0 2 1\nCELL_TYPES 1"),
+    "vtk-repeated-cell-types": ("m.vtk", "POINT_DATA 3",
+                                "CELL_TYPES 1\n5\nPOINT_DATA 3"),
+}
+
 #: Malformed counts and integers, as a file name and (old, new) text pairs.
 #: Before the count checks these raised bare ValueError, MemoryError or
 #: OverflowError, or were accepted.
@@ -256,6 +270,8 @@ MALFORMED = {
                                 "boundary int 2", "1\n1\n1\n",
                                 "1 0\n1 0\n1 0\n"),
     "medit-edges-count": ("m.mesh", "Triangles", "Edges\n5\n1 2 0\nTriangles"),
+    # a repeated section would replace the first, or mix their data
+    **REPEATED,
 }
 
 #: Legal additions this package does not write, as a file name and (old,
@@ -303,6 +319,18 @@ def test_malformed_counts_raise_parse_error(tmp_path, capsys, case):
     path.write_text(text)
     assert run(["quality", "--in", str(path)]) == 2
     assert "error: line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED))
+def test_repeated_section_is_refused_on_its_line(case):
+    _, reader, text, _ = edited(case, REPEATED)
+    repeat = REPEATED[case][2]
+    keyword = repeat.split()[0]
+    with pytest.raises(ParseError) as err:
+        reader(text)
+    line = text[:text.index(repeat)].count("\n") + 1
+    assert (err.value.line, err.value.token) == (line, keyword)
+    assert f"repeated {keyword} section" in str(err.value)
 
 
 #: A bad token deep inside each bulk section, as (extension, the keyword

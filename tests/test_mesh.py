@@ -325,8 +325,6 @@ def test_validate_flags_inverted():
     flipped = Mesh(SQUARE_2TRI.vertices,
                    [[0, 2, 1], [0, 2, 3]], "triangle")
     assert validate(flipped) == [0]
-    # an explicitly negative reference orientation accepts the flip
-    assert validate(flipped, reference_orientation=[-1, 1]) == []
 
 
 def test_validate_flags_degenerate():
@@ -335,16 +333,14 @@ def test_validate_flags_degenerate():
     assert validate(mesh) == [0]
 
 
-def ptp_validate(mesh, reference_orientation=None):
+def ptp_validate(mesh):
     """`validate` with the element scale as first written, through
     `np.ptp` along the vertex axis."""
     points = mesh.element_points()
     measures = element_signed_measures(points, mesh.element_type)
-    signs = (np.ones(len(points)) if reference_orientation is None
-             else np.asarray(reference_orientation, dtype=float))
     power = 3 if mesh.element_type in (ElementType.TET, ElementType.HEX) else 2
     threshold = EPS_DEGENERATE * np.ptp(points, axis=1).max(axis=-1) ** power
-    return np.flatnonzero(~(measures * signs > threshold)).tolist()
+    return np.flatnonzero(~(measures > threshold)).tolist()
 
 
 def with_special_rows(mesh, rng):
@@ -374,16 +370,14 @@ def test_validate_matches_ptp_scale_reference(kind):
     mesh = generate(GeneratorSpec(kind, resolution=4))
     special = with_special_rows(mesh, rng)
     points = special.element_points()
-    orientation = rng.choice([-1.0, 1.0], len(mesh.elements))
     with np.errstate(all="ignore"):
         assert np.array_equal(_element_scales(points),
                               np.ptp(points, axis=1).max(axis=-1),
                               equal_nan=True)
-        for reference in (None, orientation):
-            got = validate(special, reference)
-            assert got == ptp_validate(special, reference)
-            assert {0, 1, 2, 3, 4, 5} <= set(got)
-            assert len(got) < len(mesh.elements)
+        got = validate(special)
+        assert got == ptp_validate(special)
+        assert {0, 1, 2, 3, 4, 5} <= set(got)
+        assert len(got) < len(mesh.elements)
 
 
 def test_generator_meshes_are_valid():

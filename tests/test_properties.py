@@ -22,8 +22,14 @@ GENERATED_KINDS = ("jittered-square-tri", "disk-tri", "quad-grid-with-hole",
 def test_smoothers_keep_pinned_vertices_and_add_no_invalid_element(
         kind, resolution, jitter, seed):
     mesh = generate(GeneratorSpec(kind, resolution, jitter, seed))
-    guarded = smooth(mesh).mesh
+    guarded, laplace = smooth(mesh), smart_laplace(mesh)
     pinned = mesh.boundary_mask
-    for out in (guarded, smart_laplace(mesh).mesh):
+    for out in (guarded.mesh, laplace.mesh):
         assert out.vertices[pinned].tobytes() == mesh.vertices[pinned].tobytes()
-    assert set(validate(guarded)) <= set(validate(mesh))
+    assert set(validate(guarded.mesh)) <= set(validate(mesh))
+    # one guard count per iteration: reset elements for smooth(), rejected
+    # moves of free vertices for SmartLaplace
+    for result, most in ((guarded, len(mesh.elements)),
+                         (laplace, int((~pinned).sum()))):
+        assert len(result.guard_resets) == result.iterations_run
+        assert all(0 <= r <= most for r in result.guard_resets)

@@ -179,7 +179,8 @@ def fan_with_degenerate_triangle():
 def test_degenerate_element_is_reported_and_kept_finite(guard):
     mesh = fan_with_degenerate_triangle()
     result = smooth(mesh, SmootherConfig(guard=guard))
-    assert result.degenerate_elements == {4}
+    # the degenerate triangle's image is reset on every iteration
+    assert result.guard_resets and min(result.guard_resets) >= 1
     assert np.all(np.isfinite(result.mesh.vertices))
     # the free midpoint has only the degenerate triangle's image, which is
     # reset to its snapshot
@@ -365,10 +366,10 @@ def reference_colours(mesh):
     return [colours[c] for c in sorted(colours)]
 
 
-def reference_laplace_steps(mesh, rejected=None):
+def reference_laplace_steps(mesh):
     """SmartLaplace as a per-vertex numpy sweep in (colour, index) order:
-    the bits `smart_laplace` must reproduce.  Appends each rejected vertex
-    to `rejected`, if given."""
+    the bits `smart_laplace` must reproduce.  Yields the vertices, their
+    element points and the number of moves the sweep rejected."""
     neighbors = per_vertex(_edge_neighbors(mesh))
     incident = per_vertex(_incident_elements(mesh))
     etype, elems = mesh.element_type, mesh.elements
@@ -377,6 +378,7 @@ def reference_laplace_steps(mesh, rejected=None):
     ref_sign = np.sign(element_signed_measures(verts[elems], etype))
 
     while True:
+        rejected = 0
         for v in order:
             proposal = verts[neighbors[v]].mean(axis=0)
             old = verts[v].copy()
@@ -385,9 +387,8 @@ def reference_laplace_steps(mesh, rejected=None):
             m = element_signed_measures(verts[elems[idx]], etype)
             if np.any(np.sign(m) != ref_sign[idx]):
                 verts[v] = old
-                if rejected is not None:
-                    rejected.append(v)
-        yield verts
+                rejected += 1
+        yield verts, verts[elems], rejected
 
 
 def with_unused_vertex(mesh):
@@ -474,6 +475,7 @@ def test_smart_laplace_matches_numpy_reference(name):
     assert got.iterations_run == want.iterations_run
     assert (np.array(got.report.iteration_trace).tobytes()
             == np.array(want.report.iteration_trace).tobytes())
+    assert got.guard_resets == want.guard_resets
 
 
 @pytest.mark.parametrize("name", ["desk-tri20", "desk-quad10", "disk8s0",
@@ -509,23 +511,23 @@ def test_smart_laplace_rejects_every_move_on_non_finite_measures():
 @pytest.mark.parametrize("name", ["tet5-rejects", "hex4-rejects"])
 def test_volume_reference_meshes_reject_a_move(name):
     mesh = LAPLACE_REFERENCE_MESHES[name]()
-    rejected = []
-    next(reference_laplace_steps(mesh, rejected))
+    _, _, rejected = next(reference_laplace_steps(mesh))
     assert rejected
+    assert smart_laplace(mesh).guard_resets[0] == rejected
 
 
 def test_smart_laplace_rejects_every_move_on_overflowing_tets():
     mesh = overflowing_tets()
-    rejected = []
     with np.errstate(all="ignore"):
         measures = element_signed_measures(mesh.element_points(),
                                            ElementType.TET)
         flagged = validate(mesh)
-        next(reference_laplace_steps(mesh, rejected))
+        _, _, rejected = next(reference_laplace_steps(mesh))
         result = smart_laplace(mesh)
     assert np.isnan(measures).all()
     assert flagged == list(range(len(mesh.elements)))
-    assert len(rejected) == (~mesh.boundary_mask).sum() == 8
+    assert rejected == (~mesh.boundary_mask).sum() == 8
+    assert result.guard_resets == [8]
     assert np.array_equal(result.mesh.vertices, mesh.vertices)
     assert result.iterations_run == 1
 

@@ -7,7 +7,7 @@ valid.
 """
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -104,37 +104,21 @@ def _grid(n, corners):
     return verts, elements.reshape(-1, corners.shape[1])
 
 
-def _square_tri(resolution):
-    verts, tris = _grid(resolution, [((0, 0), (1, 0), (1, 1)),
-                                     ((0, 0), (1, 1), (0, 1))])
-    mesh = Mesh(verts, tris, ElementType.TRIANGLE)
-    return mesh, detect_boundary(mesh)
-
-
 def _disk_tri(resolution):
-    rings = resolution
-    m = 4 * resolution
-    verts = [(0.0, 0.0)]
-    for k in range(1, rings + 1):
-        radius = k / rings
-        ang = 2.0 * np.pi * np.arange(m) / m
-        verts.extend(zip(radius * np.cos(ang), radius * np.sin(ang)))
-    verts = np.array(verts)
-
-    def vid(ring, j):
-        return 1 + (ring - 1) * m + (j % m)
-
-    tris = []
-    for j in range(m):
-        tris.append((0, vid(1, j), vid(1, j + 1)))
-    for k in range(1, rings):
-        for j in range(m):
-            a0, a1 = vid(k, j), vid(k, j + 1)
-            b0, b1 = vid(k + 1, j), vid(k + 1, j + 1)
-            tris.append((a0, b0, b1))
-            tris.append((a0, b1, a1))
-    boundary = {vid(rings, j) for j in range(m)}
-    return Mesh(verts, np.array(tris), ElementType.TRIANGLE), boundary
+    """`resolution` rings of 4 * resolution vertices around the center
+    vertex 0, numbered ring by ring; a fan around the center, then each ring
+    strip as two triangles per segment."""
+    n, m = resolution, 4 * resolution
+    ang = 2.0 * np.pi * np.arange(m) / m
+    radius = (np.arange(1, n + 1) / n)[:, None, None]
+    rings = radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    verts = np.vstack([np.zeros((1, 2)), rings.reshape(-1, 2)])
+    first = 1 + m * np.arange(n)[:, None]   # vertex id of each ring's j = 0
+    a0, a1 = first + np.arange(m), first + (np.arange(m) + 1) % m
+    fan = np.stack([np.zeros(m, dtype=np.int64), a0[0], a1[0]], axis=1)
+    strips = np.stack([np.stack([a0[:-1], a0[1:], a1[1:]], axis=-1),
+                       np.stack([a0[:-1], a1[1:], a1[:-1]], axis=-1)], axis=2)
+    return verts, np.vstack([fan, strips.reshape(-1, 3)])
 
 
 def _quad_grid_with_hole(resolution):
@@ -147,8 +131,7 @@ def _quad_grid_with_hole(resolution):
     used = np.unique(quads)
     remap = -np.ones(len(verts), dtype=np.int64)
     remap[used] = np.arange(len(used))
-    mesh = Mesh(verts[used], remap[quads], ElementType.QUAD)
-    return mesh, detect_boundary(mesh)
+    return verts[used], remap[quads]
 
 
 #: Kuhn subdivision of the unit cube into six positively oriented tetrahedra;
@@ -168,15 +151,16 @@ _CUBE_CORNERS = ((
     (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1),
 ),)
 
-
-def _cube_tet(resolution):
-    mesh = Mesh(*_grid(resolution, _KUHN_TETS), ElementType.TET)
-    return mesh, detect_boundary(mesh)
-
-
-def _cube_hex(resolution):
-    mesh = Mesh(*_grid(resolution, _CUBE_CORNERS), ElementType.HEX)
-    return mesh, detect_boundary(mesh)
+#: Each kind's element type and builder, which maps the resolution to the
+#: vertices and the elements.
+_BUILDERS = {
+    "jittered-square-tri": (ElementType.TRIANGLE, partial(
+        _grid, corners=[((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1))])),
+    "disk-tri": (ElementType.TRIANGLE, _disk_tri),
+    "quad-grid-with-hole": (ElementType.QUAD, _quad_grid_with_hole),
+    "cube-tet": (ElementType.TET, partial(_grid, corners=_KUHN_TETS)),
+    "cube-hex": (ElementType.HEX, partial(_grid, corners=_CUBE_CORNERS)),
+}
 
 
 #: Two thin triangles sharing an edge; one unguarded smoothing step reverses
@@ -191,20 +175,16 @@ FLIP_TRIANGLES = np.array([(0, 2, 1), (1, 2, 3)])
 
 
 def generate(spec):
-    """Build the mesh described by a GeneratorSpec."""
+    """Build the mesh described by a GeneratorSpec; its boundary is the
+    vertices on facets that one element alone owns (`detect_boundary`)."""
     if spec.kind == "two-triangle-flip":
         return Mesh(FLIP_VERTICES, FLIP_TRIANGLES, ElementType.TRIANGLE,
                     boundary_vertices=())
 
-    builders = {
-        "jittered-square-tri": _square_tri,
-        "disk-tri": _disk_tri,
-        "quad-grid-with-hole": _quad_grid_with_hole,
-        "cube-tet": _cube_tet,
-        "cube-hex": _cube_hex,
-    }
-    mesh, boundary = builders[spec.kind](spec.resolution)
-    mesh = Mesh(mesh.vertices, mesh.elements, mesh.element_type, boundary)
+    element_type, build = _BUILDERS[spec.kind]
+    mesh = Mesh(*build(spec.resolution), element_type)
+    mesh = Mesh(mesh.vertices, mesh.elements, element_type,
+                detect_boundary(mesh))
     rng = np.random.default_rng(spec.seed)
     edge = 1.0 / spec.resolution
     return _apply_jitter(mesh, spec.jitter * edge, rng)

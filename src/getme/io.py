@@ -2,6 +2,8 @@
 unstructured grids (.vtk), exactly one element type per file.
 
 Medit vertex references double as boundary markers (tag != 0 means boundary).
+Both readers read a triangle or quad mesh whose z coordinates are all zero
+as a 2D mesh.
 The VTK writer stores the boundary flags as integer point data so round
 trips preserve them; coordinates are written with 17 significant digits so
 round trips are exact at double precision.  A section that holds vertices,
@@ -16,7 +18,12 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import MixedElementTypes, ParseError, UnsupportedElementType
+from .errors import (
+    InvalidMesh,
+    MixedElementTypes,
+    ParseError,
+    UnsupportedElementType,
+)
 from .mesh import NODES_PER_ELEMENT, ElementType, Mesh
 
 MEDIT_KEYWORDS = {
@@ -128,6 +135,19 @@ def _table(row, *columns):
     return "".join(map(row.__mod__, zip(*columns)))
 
 
+def _mesh(tok, vertices, elements, element_type, boundary):
+    """The Mesh a reader read.  A triangle or quad mesh whose z column is
+    all zero is planar and loses that column; a Mesh error is a ParseError
+    at the last token read."""
+    if (element_type in (ElementType.TRIANGLE, ElementType.QUAD)
+            and vertices.shape[1] == 3 and np.all(vertices[:, 2] == 0.0)):
+        vertices = vertices[:, :2]
+    try:
+        return Mesh(vertices, elements, element_type, boundary)
+    except InvalidMesh as exc:
+        raise tok.error(f"inconsistent mesh data: {exc}")
+
+
 # ---------------------------------------------------------------------------
 # Medit
 # ---------------------------------------------------------------------------
@@ -180,10 +200,7 @@ def read_medit(text):
         raise tok.error("file has no Vertices section")
     if elements is None:
         raise tok.error("file has no element section")
-    try:
-        return Mesh(vertices, elements, element_type, boundary)
-    except Exception as exc:
-        raise tok.error(f"inconsistent mesh data: {exc}")
+    return _mesh(tok, vertices, elements, element_type, boundary)
 
 
 def write_medit(mesh, fileobj):
@@ -285,13 +302,8 @@ def read_vtk(text):
     if isinstance(cells, list) or cells.shape[1] != k:
         raise tok.error(f"cell size does not match type {code}")
 
-    if etype in (ElementType.TRIANGLE, ElementType.QUAD) and np.all(points[:, 2] == 0.0):
-        points = points[:, :2]
     boundary = np.flatnonzero(boundary_flags) if boundary_flags is not None else None
-    try:
-        return Mesh(points, cells, etype, boundary)
-    except Exception as exc:
-        raise tok.error(f"inconsistent mesh data: {exc}")
+    return _mesh(tok, points, cells, etype, boundary)
 
 
 def _read_cells(tok, n, size):

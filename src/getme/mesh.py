@@ -230,14 +230,16 @@ def element_signed_measures(points, element_type):
     """Signed size of each element, positive for valid orientation.
 
     Triangles: twice the signed area; 3D triangles have no orientation and
-    raise InvalidMesh.  Quads: the signed polygon area.  Tets: the signed
-    volume determinant.  Hexes: the smallest of the eight corner-tetrahedron
-    determinants.
+    raise InvalidMesh, which is how both smoothers refuse them.  Quads: the
+    signed polygon area.  Tets: the signed volume determinant.  Hexes: the
+    smallest of the eight corner-tetrahedron determinants.
     """
     points = np.asarray(points, dtype=float)
     if element_type is ElementType.TRIANGLE:
         if points.shape[-1] != 2:
-            raise InvalidMesh("3D triangle meshes have no orientation")
+            raise InvalidMesh(
+                "3D triangle meshes have no orientation, and nothing "
+                "projects a moved vertex back onto the surface")
         return 2.0 * signed_areas_2d(points)
     if element_type is ElementType.QUAD:
         x, y = points[..., 0], points[..., 1]

@@ -144,24 +144,21 @@ def is_convergent(params):
     return spectrum(params).lambda12_real < 0.0
 
 
-def compare_discrete_continuous(
-    triangle, n_steps, params=STANDARD_PARAMS, time_scale=1.0
-):
+def compare_discrete_continuous(triangle, n_steps, params=STANDARD_PARAMS):
     """Paired discrete and continuous radius sequences.
 
     Row n holds the vertex-to-centroid distances of the n-th discrete iterate
     (area-preserving transformation) next to the continuous solution sampled
-    at t = n * time_scale.  Returns a list of
+    at t = n, a float.  Returns a list of
     (step, t, r0_disc, r1_disc, r2_disc, R0_cont, R1_cont, R2_cont) tuples.
-    The time scale only reparameterizes the continuous curve; the model is
-    validated through the limit behavior, not the time axis.
+    The model is validated through the limit behavior, not the time axis.
     """
     triangle = np.asarray(triangle, dtype=float)
     initial = vertex_radii(triangle)
     rows = []
     tri = triangle
     for n in range(n_steps + 1):
-        t = n * time_scale
+        t = float(n)
         cont = solve_ode(initial, t)
         disc = vertex_radii(tri)
         rows.append((n, t, *disc.tolist(), *cont.tolist()))

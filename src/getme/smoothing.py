@@ -15,9 +15,10 @@ guarded run never introduces new inverted elements.  Each accepted vertex
 state is gathered and measured once: its element points are scored by the
 outer loop and are the next iteration's snapshot.  SmartLaplace sweeps
 every element type the same way, one colour of a greedy vertex colouring at
-a time, where no two vertices of a colour share an element.  Meshes must
-have elements, and triangle meshes must be planar: nothing here projects a
-moved vertex back onto a surface.
+a time, where no two vertices of a colour share an element.  Both guard
+by `_orientation`.  Meshes must have elements, and triangle meshes must be
+planar: `element_signed_measures` refuses 3D triangles, since nothing here
+projects a moved vertex back onto a surface.
 """
 
 import math
@@ -216,11 +217,6 @@ def _iterate(mesh, cfg, steps):
     the yielded points and stops after `cfg.max_iterations`, or once the
     mean quality gains less than `cfg.error_bound` (or NaN).
     """
-    if mesh.element_type is ElementType.TRIANGLE and mesh.dimension == 3:
-        raise InvalidMesh(
-            "3D triangle meshes cannot be smoothed: moved vertices are not "
-            "projected back onto the surface"
-        )
     if not len(mesh.elements):
         raise InvalidMesh("cannot smooth a mesh without elements")
     etype, verts = mesh.element_type, mesh.vertices
@@ -313,10 +309,12 @@ def smart_laplace(mesh, cfg=SmootherConfig()):
     """Laplacian smoothing with element-inversion rejection.
 
     Every interior vertex is moved to the barycenter of its edge-connected
-    neighbors; a move is discarded if it changes the sign of the measure of
-    any incident element.  Each sweep is a Gauss-Seidel sweep on the current
-    positions, one colour of a greedy vertex colouring at a time
-    (`_laplace_waves`), which keeps runs bit-reproducible.  No two vertices
+    neighbors; a move is discarded if it changes the sign of any
+    `_orientation` measure of an incident element, so a hex keeps the sign
+    of each of its eight corners, as in `smooth()`.  Each sweep is a
+    Gauss-Seidel sweep on the current positions, one colour of a greedy
+    vertex colouring at a time (`_laplace_waves`), which keeps runs
+    bit-reproducible.  No two vertices
     of a colour share an element, so moving a whole colour at once gives
     the bits of a per-vertex numpy loop in (colour, index) order.
     """
@@ -355,13 +353,14 @@ def _laplace_steps(mesh):
     """SmartLaplace sweeps, one colour of `_laplace_waves` at a time.
 
     Each colour moves at once and measures all its incident elements in one
-    call.  The neighbor sums run over a gather padded with a -0.0 row, since
+    `_orientation` call, each measure owned by its colour member.  The
+    neighbor sums run over a gather padded with a -0.0 row, since
     x + -0.0 == x for every x, -0.0 included.
     """
     etype, elems = mesh.element_type, mesh.elements
     n = len(mesh.vertices)
     work = np.vstack([mesh.vertices, np.full((1, mesh.dimension), -0.0)])
-    ref_sign = np.sign(element_signed_measures(work[elems], etype))
+    ref_sign = np.sign(_orientation(work[elems], etype))
     plan = []
     for wave in _laplace_waves(mesh).values():
         vids, nbs, incs = zip(*wave)
@@ -372,7 +371,8 @@ def _laplace_steps(mesh):
             np.array([nb + [n] * (k - len(nb)) for nb in nbs]).T,
             np.array([[len(nb)] for nb in nbs], dtype=float),
             elems[inc], ref_sign[inc],
-            np.repeat(np.arange(len(wave)), [len(i) for i in incs]),
+            np.repeat(np.arange(len(wave)),
+                      [len(i) * ref_sign.shape[1] for i in incs]),
         ))
     while True:
         rejected = 0
@@ -380,8 +380,8 @@ def _laplace_steps(mesh):
             old = work[vids]
             # the same bits as work[nb].mean(axis=0) per vertex
             work[vids] = np.add.reduce(work[nbs]) / counts
-            m = element_signed_measures(work[conn], etype)
-            bad = np.bincount(owner, weights=np.sign(m) != sign) > 0
+            flipped = np.sign(_orientation(work[conn], etype)) != sign
+            bad = np.bincount(owner, weights=flipped.ravel()) > 0
             work[vids[bad]] = old[bad]
             rejected += int(np.count_nonzero(bad))
         yield work[:n], work[elems], rejected

@@ -62,6 +62,37 @@ def test_disk_tri_structure():
     assert validate(mesh) == []
 
 
+def loop_built_disk(resolution):
+    """The disk-tri mesh built vertex by vertex and triangle by triangle,
+    with its outer ring listed by hand as the boundary."""
+    rings = resolution
+    m = 4 * resolution
+    verts = [(0.0, 0.0)]
+    for k in range(1, rings + 1):
+        radius = k / rings
+        ang = 2.0 * np.pi * np.arange(m) / m
+        verts.extend(zip(radius * np.cos(ang), radius * np.sin(ang)))
+
+    def vid(ring, j):
+        return 1 + (ring - 1) * m + (j % m)
+
+    tris = [(0, vid(1, j), vid(1, j + 1)) for j in range(m)]
+    for k in range(1, rings):
+        for j in range(m):
+            a0, a1 = vid(k, j), vid(k, j + 1)
+            b0, b1 = vid(k + 1, j), vid(k + 1, j + 1)
+            tris.append((a0, b0, b1))
+            tris.append((a0, b1, a1))
+    boundary = [vid(rings, j) for j in range(m)]
+    return Mesh(np.array(verts), np.array(tris), "triangle", boundary)
+
+
+@pytest.mark.parametrize("res", range(2, 13))
+def test_disk_tri_matches_loop_built_reference(res):
+    assert same_bytes(generate(GeneratorSpec("disk-tri", res)),
+                      loop_built_disk(res))
+
+
 def test_disk_tri_quality_band():
     # about 2000 elements with a deliberately wide spread of edge ratios
     mesh = generate(GeneratorSpec("disk-tri", resolution=16))

@@ -493,3 +493,48 @@ def test_writers_match_per_row_reference(kind, res):
     assert point == ("-0 4.9406564584124654e-324 10000000000000000"
                      if mesh.dimension == 3 else
                      "-0 4.9406564584124654e-324 0")
+
+
+def with_z_column(mesh, z):
+    """A planar `mesh` as the text of a Medit file of dimension 3 whose z
+    coordinates are `z`; write_medit refuses such a quad mesh."""
+    rows = [f"{x!r} {y!r} {zi!r} {int(b)}\n" for (x, y), zi, b in
+            zip(mesh.vertices.tolist(), z.tolist(), mesh.boundary_mask)]
+    cells = [" ".join(map(str, e)) + " 0\n"
+             for e in (mesh.elements + 1).tolist()]
+    return "".join(["MeshVersionFormatted 2\nDimension 3\n",
+                    f"Vertices\n{len(rows)}\n", *rows,
+                    f"{MEDIT_SECTION[mesh.element_type]}\n{len(cells)}\n",
+                    *cells, "End\n"])
+
+
+@pytest.mark.parametrize("kind", ["jittered-square-tri",
+                                  "quad-grid-with-hole"])
+@pytest.mark.parametrize("ext", [".mesh", ".vtk"])
+def test_zero_z_column_reads_as_a_planar_mesh(tmp_path, capsys, kind, ext):
+    # both readers drop an all-zero z column of a triangle or quad mesh, so
+    # the mesh can be smoothed
+    mesh = generate(GeneratorSpec(kind, resolution=5, jitter=0.3, seed=2))
+    path, out = tmp_path / f"m{ext}", tmp_path / f"out{ext}"
+    if ext == ".mesh":
+        path.write_text(with_z_column(mesh, np.zeros(len(mesh.vertices))))
+    else:
+        write_mesh(mesh, path)   # VTK points always have three coordinates
+        assert " 0\n" in path.read_text().split("CELLS")[0]
+    assert read_mesh(path) == mesh
+    assert run(["smooth", "--in", str(path), "--out", str(out),
+                "--smoother", "getme"]) == 0
+    assert read_mesh(out).dimension == 2
+    capsys.readouterr()
+
+
+def test_medit_quads_off_the_plane_are_refused(tmp_path, capsys):
+    mesh = generate(GeneratorSpec("quad-grid-with-hole", resolution=5))
+    z = np.zeros(len(mesh.vertices))
+    z[3] = 1e-300
+    path = tmp_path / "m.mesh"
+    path.write_text(with_z_column(mesh, z))
+    with pytest.raises(ParseError, match="quad meshes must be 2D"):
+        read_mesh(path)
+    assert run(["quality", "--in", str(path)]) == 2
+    assert "quad meshes must be 2D" in capsys.readouterr().err

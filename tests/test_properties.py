@@ -4,9 +4,11 @@ The profile is derandomized with a fixed example count, so every run
 draws the same examples and the suite stays quick.
 """
 
-from hypothesis import given, settings, strategies as st
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
 
 from getme import GeneratorSpec, generate, smart_laplace, smooth, validate
+from getme.smoothing import _orientation
 
 GENERATED_KINDS = ("jittered-square-tri", "disk-tri", "quad-grid-with-hole",
                    "cube-tet", "cube-hex")
@@ -33,3 +35,28 @@ def test_smoothers_keep_pinned_vertices_and_add_no_invalid_element(
                          (laplace, int((~pinned).sum()))):
         assert len(result.guard_resets) == result.iterations_run
         assert all(0 <= r <= most for r in result.guard_resets)
+
+
+# one interior vertex pushed up to 0.9 cell widths along each axis often
+# inverts a few elements, or a few corners of a hex; no smoother may change
+# the sign of any of them, nor of any other corner
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(kind=st.sampled_from(GENERATED_KINDS),
+       resolution=st.integers(3, 5),
+       jitter=st.floats(0.0, 0.3),
+       seed=st.integers(0, 2**16),
+       pick=st.integers(0, 2**16),
+       push=st.lists(st.floats(-0.9, 0.9), min_size=3, max_size=3))
+def test_smoothers_keep_the_sign_of_every_corner_measure(
+        kind, resolution, jitter, seed, pick, push):
+    mesh = generate(GeneratorSpec(kind, resolution, jitter, seed))
+    interior = np.flatnonzero(~mesh.boundary_mask)
+    assume(len(interior))   # quad grids below res 5 are all hole and rim
+    verts = mesh.vertices.copy()
+    verts[interior[pick % len(interior)]] += (
+        np.array(push[:mesh.dimension]) / resolution)
+    mesh = mesh.with_vertices(verts)
+    before = np.sign(_orientation(mesh.element_points(), mesh.element_type))
+    for result in (smooth(mesh), smart_laplace(mesh)):
+        after = _orientation(result.mesh.element_points(), mesh.element_type)
+        assert np.array_equal(np.sign(after), before)

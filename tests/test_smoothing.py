@@ -28,7 +28,12 @@ from getme.geometry import (
     hex_face_barycenters,
     rescale_areas,
 )
-from getme.mesh import ELEMENT_FACES, _edge_neighbors, _incident_elements
+from getme.mesh import (
+    ELEMENT_FACES,
+    _edge_neighbors,
+    _incident_elements,
+    hex_corner_dets,
+)
 from getme.smoothing import (
     ELEMENT_TRIANGLES,
     GUARD_NONE,
@@ -341,6 +346,23 @@ def test_smart_laplace_rejects_a_move_inverting_one_end_element(inverted_first):
     assert np.array_equal(result.mesh.vertices, mesh.vertices)
 
 
+def test_smoothers_keep_every_hex_corner_sign():
+    # an interior vertex pushed so far that seven hex corners invert;
+    # SmartLaplace guarded by each hex's smallest corner alone inverted an
+    # eighth
+    mesh = generate(GeneratorSpec("cube-hex", 3, 0.3, 0))
+    verts = mesh.vertices.copy()
+    verts[21] += (-0.3, 0.3, -0.3)
+    mesh = mesh.with_vertices(verts)
+    before = np.sign(hex_corner_dets(mesh.element_points()))
+    assert (before < 0).sum() == 7
+    for smoother in (smart_laplace, smooth):
+        after = smoother(mesh).mesh
+        assert not np.array_equal(after.vertices, mesh.vertices)
+        assert np.array_equal(
+            np.sign(hex_corner_dets(after.element_points())), before)
+
+
 def per_vertex(grouped):
     """A `_group` result split into one array per key."""
     values, offsets = grouped
@@ -375,7 +397,7 @@ def reference_laplace_steps(mesh):
     etype, elems = mesh.element_type, mesh.elements
     verts = mesh.vertices.copy()
     order = [v for colour in reference_colours(mesh) for v in colour]
-    ref_sign = np.sign(element_signed_measures(verts[elems], etype))
+    ref_sign = np.sign(_orientation(verts[elems], etype))
 
     while True:
         rejected = 0
@@ -384,7 +406,7 @@ def reference_laplace_steps(mesh):
             old = verts[v].copy()
             verts[v] = proposal
             idx = incident[v]
-            m = element_signed_measures(verts[elems[idx]], etype)
+            m = _orientation(verts[elems[idx]], etype)
             if np.any(np.sign(m) != ref_sign[idx]):
                 verts[v] = old
                 rejected += 1

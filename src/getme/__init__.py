@@ -59,8 +59,6 @@ from .quality import (
     QualityReport,
     element_qualities,
     mesh_quality,
-    quality_mean_ratio_hex,
-    quality_mean_ratio_tet,
 )
 from .smoothing import (
     ADAPTIVE_PRESETS,
@@ -114,8 +112,6 @@ __all__ = [
     "mesh_quality",
     "octahedron_to_hex",
     "ode_rhs",
-    "quality_mean_ratio_hex",
-    "quality_mean_ratio_tet",
     "read_mesh",
     "rescale_area",
     "second_order_residual",

@@ -6,7 +6,8 @@ class GetmeError(Exception):
 
 
 class DegenerateElement(GetmeError):
-    """An element is too close to degenerate for the requested operation."""
+    """An element is too close to degenerate for the requested operation.
+    Only the single-element API raises it; the mesh path never does."""
 
 
 class InvalidTopology(GetmeError):

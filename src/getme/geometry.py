@@ -238,12 +238,12 @@ HEX_CORNER_TETS = np.array([
 ])
 
 
-def hex_corner_edges(hexes):
-    """The edges from each hexahedron corner to its three neighbors in
-    `HEX_CORNER_TETS` order, as the rows of shape (..., 8, 3, 3)."""
-    hexes = np.asarray(hexes, dtype=float)
-    return (hexes[..., HEX_CORNER_TETS[:, 1:], :]
-            - hexes[..., HEX_CORNER_TETS[:, :1], :])
+def corner_edges(points, corners):
+    """The edges from each corner's vertex to its neighbors, for corners
+    given as rows (vertex, neighbors...) of local indices: the rows of
+    shape (..., corners, neighbors, dim)."""
+    points = np.asarray(points, dtype=float)
+    return points[..., corners[:, 1:], :] - points[..., corners[:, :1], :]
 
 
 def hex_face_barycenters(hexes):

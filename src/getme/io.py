@@ -361,9 +361,19 @@ def detect_format(path):
     raise ParseError(f"cannot infer mesh format from extension {ext!r}")
 
 
+def _codec(path, format):
+    """(reader, writer) for the format, by default the extension's, checked
+    before the file is opened; built per call, so rebound names are used."""
+    format = format or detect_format(path)
+    codecs = {"medit": (read_medit, write_medit), "vtk": (read_vtk, write_vtk)}
+    if format not in codecs:
+        raise ValueError(f"unknown format {format!r}")
+    return codecs[format]
+
+
 def read_mesh(path, format=None):
     """Read a mesh file; the format defaults to the file extension."""
-    format = format or detect_format(path)
+    reader, _ = _codec(path, format)
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -372,18 +382,11 @@ def read_mesh(path, format=None):
         line = len((data[:exc.start].decode("ascii") + ".").splitlines())
         raise ParseError(f"byte 0x{data[exc.start]:02x} is not ASCII",
                          line=line) from None
-    if format == "medit":
-        return read_medit(text)
-    if format == "vtk":
-        return read_vtk(text)
-    raise ValueError(f"unknown format {format!r}")
+    return reader(text)
 
 
 def write_mesh(mesh, path, format=None):
     """Write a mesh file; the format defaults to the file extension."""
-    format = format or detect_format(path)
-    writers = {"medit": write_medit, "vtk": write_vtk}
-    if format not in writers:
-        raise ValueError(f"unknown format {format!r}")
+    _, writer = _codec(path, format)
     with open(path, "w", encoding="ascii") as fh:
-        writers[format](mesh, fh)
+        writer(mesh, fh)

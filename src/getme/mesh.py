@@ -11,8 +11,9 @@ import numpy as np
 from .errors import InvalidMesh, InvalidTopology
 from .geometry import (
     EPS_DEGENERATE,
+    HEX_CORNER_TETS,
     HEX_FACES,
-    hex_corner_edges,
+    corner_edges,
     signed_areas_2d,
 )
 
@@ -254,7 +255,7 @@ def element_signed_measures(points, element_type):
 
 def hex_corner_dets(points):
     """Determinants of the eight corner tetrahedra of each hexahedron."""
-    return det3(hex_corner_edges(points))
+    return det3(corner_edges(points, HEX_CORNER_TETS))
 
 
 def validate(mesh):

@@ -1,9 +1,13 @@
 """Element and mesh quality measures.
 
-Triangles and quads use the min/max edge-length ratio; tetrahedra and
-hexahedra use the mean ratio measure, which compares the element's edge
-matrix against a regular reference element and scores 1 exactly on the
-regular shape and 0 on degenerate or inverted elements.
+Every element type is scored by the mean ratio: the mean over the
+element's corners of d det(S)^(2/d) / tr(S^t S), where S is the corner's
+edge matrix times the inverse of the edge matrix of the same corner on the
+regular reference element.  It is 1 exactly on the regular shape (and on a
+triangle it equals 4 sqrt(3) area / sum of squared edge lengths); a corner
+with a non-positive determinant scores 0, and one whose determinant or trace
+is not finite (an overflowed measure) scores NaN.  A triangle in 3D has no
+orientation; its determinant is sqrt(det(S^t S)), its area in its own plane.
 """
 
 import json
@@ -12,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import distortion, hex_corner_edges
+from .geometry import HEX_CORNER_TETS, corner_edges
 from .mesh import ElementType, det3
 
 #: Edge matrix of the regular reference tetrahedron (unit edge length).
@@ -22,50 +26,43 @@ REFERENCE_TET_FACTOR = np.array([
     [0.0, 0.0, math.sqrt(2.0 / 3.0)],
 ])
 
-_REFERENCE_TET_INV = np.linalg.inv(REFERENCE_TET_FACTOR)
+#: The corners each element type is scored by, as rows (vertex, neighbors)
+#: of local indices, and the inverse of the reference corner's edge matrix,
+#: or None for the identity (the square and the cube).  The equilateral
+#: triangle is the reference tetrahedron's base.
+CORNERS = {
+    ElementType.TRIANGLE: (np.array([(0, 1, 2)]),
+                           np.linalg.inv(REFERENCE_TET_FACTOR[:2, :2])),
+    ElementType.QUAD: (np.array([(0, 1, 3), (1, 2, 0), (2, 3, 1), (3, 0, 2)]),
+                       None),
+    ElementType.TET: (np.array([(0, 1, 2, 3)]),
+                      np.linalg.inv(REFERENCE_TET_FACTOR)),
+    ElementType.HEX: (HEX_CORNER_TETS, None),
+}
 
 HISTOGRAM_BINS = 20
 
 
-def _mean_ratio_from_edge_matrix(s):
-    """3 det(S)^(2/3) / trace(S^t S), clipped to 0 for non-positive dets."""
-    det = det3(s)
-    trace = np.einsum("...ij,...ij->...", s, s)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = 3.0 * np.cbrt(det) ** 2 / trace
-    return np.where(det > 0, np.nan_to_num(q), 0.0)
-
-
-def quality_mean_ratio_tet(points):
-    """Mean ratio quality of tetrahedra, 1 on the regular tetrahedron.
-
-    The edge matrix D = (x1-x0, x2-x0, x3-x0) is compared against the regular
-    reference via S = D W^-1; inverted elements score 0.
-    """
-    points = np.asarray(points, dtype=float)
-    d = np.swapaxes(points[..., 1:, :] - points[..., :1, :], -1, -2)
-    return _mean_ratio_from_edge_matrix(d @ _REFERENCE_TET_INV)
-
-
-def quality_mean_ratio_hex(points):
-    """Mean ratio quality of hexahedra, 1 on the cube.
-
-    Average of the eight corner-tetrahedron mean ratios with the identity as
-    reference factor; corners with non-positive determinant contribute 0.
-    """
-    d = np.swapaxes(hex_corner_edges(points), -1, -2)
-    return _mean_ratio_from_edge_matrix(d).mean(axis=-1)
-
-
 def element_qualities(points, element_type):
-    """Per-element quality for a batch of same-type elements."""
-    if element_type in (ElementType.TRIANGLE, ElementType.QUAD):
-        return np.atleast_1d(distortion(points))
-    if element_type is ElementType.TET:
-        return np.atleast_1d(quality_mean_ratio_tet(points))
-    if element_type is ElementType.HEX:
-        return np.atleast_1d(quality_mean_ratio_hex(points))
-    raise ValueError(f"unsupported element type {element_type}")
+    """Mean ratio quality per element for a batch of same-type elements,
+    points of shape (n, k, dim): 1 on the regular element, 0 on one whose
+    every corner is degenerate or inverted, NaN where a measure overflowed."""
+    corners, reference_inv = CORNERS[ElementType(element_type)]
+    s = np.swapaxes(corner_edges(points, corners), -1, -2)
+    if reference_inv is not None:
+        s = s @ reference_inv
+    rows, dim = s.shape[-2:]
+    with np.errstate(all="ignore"):
+        m = np.swapaxes(s, -1, -2) @ s if rows > dim else s
+        det = (det3(m) if dim == 3
+               else m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])
+        if rows > dim:
+            det = np.sqrt(np.maximum(det, 0.0))
+        trace = np.einsum("...ij,...ij->...", s, s)
+        q = dim * (np.cbrt(det) ** 2 if dim == 3 else det) / trace
+    q = np.where(det > 0, q, 0.0)
+    q[~(np.isfinite(det) & np.isfinite(trace))] = np.nan
+    return np.atleast_1d(q.mean(axis=-1))
 
 
 @dataclass
@@ -113,6 +110,6 @@ def _finite_or_none(value):
 
 
 def mesh_quality(mesh):
-    """QualityReport for a whole mesh, dispatching on element type."""
+    """QualityReport for a whole mesh."""
     qualities = element_qualities(mesh.element_points(), mesh.element_type)
     return QualityReport.from_qualities(qualities)

@@ -4,7 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from getme import GeneratorSpec, generate, mesh_quality, read_mesh, write_mesh
+from getme import (
+    GeneratorSpec,
+    Mesh,
+    generate,
+    mesh_quality,
+    read_mesh,
+    smart_laplace,
+    smooth,
+    write_mesh,
+)
 from getme.cli import run
 
 
@@ -36,7 +45,6 @@ def test_generate_then_smooth_improves(tmp_path, capsys):
 
 
 def test_smooth_equilateral_is_identity(tmp_path):
-    from getme import Mesh
     mesh = Mesh([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]],
                 [[0, 1, 2]], "triangle", boundary_vertices=[0, 1, 2])
     m = tmp_path / "eq.mesh"
@@ -58,6 +66,37 @@ def test_smooth_exit_3_on_remaining_invalid(tmp_path, capsys):
     assert code == 3
     assert s.exists()  # the mesh is still written
     assert "invalid" in capsys.readouterr().err
+
+
+#: A valid patch plus one element whose distinct vertex ids share one
+#: coordinate, which `Mesh` and the readers accept.
+COLLAPSED_ELEMENT_MESHES = {
+    "triangle": ([[0.1, 0.05], [1, 0], [0, 1], [-1, 0], [0, -1]] + [[2, 2]] * 3,
+                 [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1], [5, 6, 7]],
+                 range(1, 5)),
+    "quad": ([[0, 0], [1, 0], [2, 0], [0, 1], [1.2, 1.1], [2, 1]]
+             + [[3, 3]] * 4,
+             [[0, 1, 4, 3], [1, 2, 5, 4], [6, 7, 8, 9]], range(6)),
+}
+
+
+@pytest.mark.parametrize("etype", list(COLLAPSED_ELEMENT_MESHES))
+def test_element_collapsed_to_a_point_scores_zero(tmp_path, capsys, etype):
+    # the edge ratio raised DegenerateElement here, and the CLI exited 1
+    verts, elems, boundary = COLLAPSED_ELEMENT_MESHES[etype]
+    mesh = Mesh(verts, elems, etype, boundary)
+    m, report = tmp_path / "m.mesh", tmp_path / "q.json"
+    write_mesh(mesh, m)
+    assert run(["quality", "--in", str(m), "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["min"] == 0.0
+    qualities = mesh_quality(read_mesh(m)).per_element
+    assert qualities[-1] == 0.0 and np.all(qualities[:-1] > 0.0)
+    for smoother in ("getme", "smart-laplace"):
+        assert run(["smooth", "--in", str(m), "--smoother", smoother,
+                    "--out", str(tmp_path / "s.mesh")]) == 3
+        assert f"indices [{len(elems) - 1}]" in capsys.readouterr().err
+    for result in (smooth(mesh), smart_laplace(mesh)):
+        assert result.report.per_element[-1] == 0.0
 
 
 def test_quality_subcommand(tmp_path, capsys):

@@ -65,6 +65,16 @@ def test_unknown_write_format_leaves_the_target_file(tmp_path):
     assert path.read_bytes() == before
 
 
+def test_unknown_read_format_is_refused_before_the_file_is_read(tmp_path):
+    with pytest.raises(ValueError, match="unknown format"):
+        read_mesh(tmp_path / "missing.vtk", format="bogus")
+    # a non-ASCII file would be a ParseError once decoded
+    path = tmp_path / "binary.mesh"
+    path.write_bytes(b"\xff" * 64)
+    with pytest.raises(ValueError, match="unknown format"):
+        read_mesh(path, format="bogus")
+
+
 def test_medit_boundary_tags(tmp_path):
     mesh = generate(GeneratorSpec("jittered-square-tri", resolution=2))
     path = tmp_path / "m.mesh"

@@ -13,11 +13,11 @@ from getme import (
     element_qualities,
     generate,
     mesh_quality,
-    quality_mean_ratio_hex,
-    quality_mean_ratio_tet,
 )
 
 EQUILATERAL = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
+
+UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 REGULAR_TET = np.array([
     [0.0, 0.0, 0.0],
@@ -31,6 +31,18 @@ UNIT_CUBE = np.array([
     [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1],
 ], dtype=float)
 
+REGULAR = {
+    ElementType.TRIANGLE: EQUILATERAL,
+    ElementType.QUAD: UNIT_SQUARE,
+    ElementType.TET: REGULAR_TET,
+    ElementType.HEX: UNIT_CUBE,
+}
+
+
+def quality(points, element_type):
+    """The quality of one element."""
+    return element_qualities(np.asarray(points)[None], element_type)[0]
+
 
 def random_isometry(rng, dim):
     a, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
@@ -40,11 +52,8 @@ def random_isometry(rng, dim):
 
 
 def test_regular_elements_score_one():
-    assert abs(distortion(EQUILATERAL) - 1.0) < 1e-12
-    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    assert abs(distortion(square) - 1.0) < 1e-12
-    assert abs(quality_mean_ratio_tet(REGULAR_TET) - 1.0) < 1e-12
-    assert abs(quality_mean_ratio_hex(UNIT_CUBE) - 1.0) < 1e-12
+    for etype, points in REGULAR.items():
+        assert abs(quality(points, etype) - 1.0) < 1e-12, etype
 
 
 def test_edge_ratio_right_triangle():
@@ -53,51 +62,110 @@ def test_edge_ratio_right_triangle():
 
 
 def test_edge_ratio_degenerate_raises():
+    # the single-triangle measure of the paper's first part still raises
     with pytest.raises(DegenerateElement):
         distortion(np.zeros((3, 2)))
 
 
+def test_triangle_quality_is_area_over_squared_edges():
+    rng = np.random.default_rng(10)
+    tris = rng.uniform(-1.0, 1.0, (500, 3, 2))
+    u, v = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+    area = 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+    squares = (np.roll(tris, -1, axis=1) - tris) ** 2
+    expected = np.maximum(4.0 * math.sqrt(3.0) * area / squares.sum(axis=(1, 2)),
+                          0.0)
+    assert np.allclose(element_qualities(tris, ElementType.TRIANGLE), expected,
+                       rtol=1e-12, atol=1e-15)
+
+
+def test_3d_triangle_quality_is_area_over_squared_edges():
+    # a surface triangle has no orientation: its area is |u x v| / 2 whatever
+    # the plane, so a face standing vertical or turned clockwise in the xy
+    # projection still scores its shape
+    rng = np.random.default_rng(11)
+    tent_faces = np.array([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.5, 0.4]],
+                           [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+                           [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]])
+    tris = np.concatenate([tent_faces, rng.uniform(-1.0, 1.0, (500, 3, 3))])
+    area = 0.5 * np.linalg.norm(
+        np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]), axis=1)
+    squares = (np.roll(tris, -1, axis=1) - tris) ** 2
+    expected = 4.0 * math.sqrt(3.0) * area / squares.sum(axis=(1, 2))
+    q = element_qualities(tris, ElementType.TRIANGLE)
+    assert np.allclose(q, expected, rtol=1e-10, atol=1e-12)
+    assert q[0] == pytest.approx(0.956, abs=1e-3)
+    assert np.allclose(q[1:3], math.sqrt(3.0) / 2.0, rtol=1e-12)
+
+
+def test_single_element_gives_one_quality():
+    for etype, regular in REGULAR.items():
+        assert element_qualities(regular, etype).shape == (1,)
+
+
+def test_quad_quality_is_the_mean_of_its_corner_ratios():
+    # the unit square with vertex 2 pulled onto the diagonal at (0.5, 0.5):
+    # corner 0 keeps 1, corner 2 is a straight angle and scores 0, and
+    # corners 1 and 3 score 2 det / (|e1|^2 + |e2|^2) = 2*0.5/(0.5+1)
+    quad = UNIT_SQUARE.copy()
+    quad[2] = (0.5, 0.5)
+    assert np.isclose(quality(quad, ElementType.QUAD),
+                      (1.0 + 0.0 + 2 * (2.0 / 3.0)) / 4.0, rtol=1e-14)
+
+
+@pytest.mark.parametrize("etype", list(REGULAR), ids=lambda e: e.value)
+def test_coincident_vertices_score_zero(etype):
+    # distinct vertex ids at one coordinate: the edge ratio raised here
+    assert quality(np.zeros_like(REGULAR[etype]), etype) == 0.0
+
+
+def test_zero_area_triangles_score_zero():
+    collinear = np.array([[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+                          [[0.0, 0.0], [2.0, 0.0], [1.0, 0.0]]])
+    assert np.array_equal(
+        element_qualities(collinear, ElementType.TRIANGLE), [0.0, 0.0])
+
+
 def test_inverted_tet_scores_zero():
     inverted = REGULAR_TET[[0, 2, 1, 3]]
-    assert quality_mean_ratio_tet(inverted) == 0.0
+    assert quality(inverted, ElementType.TET) == 0.0
 
 
 def test_flat_tet_scores_zero():
     flat = REGULAR_TET.copy()
     flat[3, 2] = 0.0
-    assert quality_mean_ratio_tet(flat) == 0.0
+    assert quality(flat, ElementType.TET) == 0.0
 
 
 def test_inverted_hex_scores_zero():
     inverted = UNIT_CUBE[[4, 5, 6, 7, 0, 1, 2, 3]]
-    assert quality_mean_ratio_hex(inverted) == 0.0
+    assert quality(inverted, ElementType.HEX) == 0.0
+
+
+def test_overflowed_measures_score_nan():
+    # squared edges of a triangle at 1e300 and cubed edges of a tet at 1e155
+    # overflow; the score is NaN, not 0 or a huge number
+    with np.errstate(all="ignore"):
+        assert math.isnan(quality(EQUILATERAL * 1e300, ElementType.TRIANGLE))
+        assert math.isnan(quality(REGULAR_TET * 1e155, ElementType.TET))
 
 
 def test_tet_quality_between_zero_and_one():
     rng = np.random.default_rng(8)
     tets = rng.uniform(-1.0, 1.0, (200, 4, 3))
-    q = quality_mean_ratio_tet(tets)
+    q = element_qualities(tets, ElementType.TET)
     assert np.all((q >= 0.0) & (q <= 1.0 + 1e-12))
 
 
 def test_qualities_are_isometry_and_scale_invariant():
     rng = np.random.default_rng(9)
     for _ in range(20):
-        rot2, t2 = random_isometry(rng, 2)
-        rot3, t3 = random_isometry(rng, 3)
         s = rng.uniform(0.1, 10.0)
-
-        tri = rng.uniform(-1.0, 1.0, (3, 2))
-        assert np.isclose(distortion(s * tri @ rot2.T + t2),
-                          distortion(tri), atol=1e-10)
-
-        tet = rng.uniform(-1.0, 1.0, (4, 3))
-        assert np.isclose(quality_mean_ratio_tet(s * tet @ rot3.T + t3),
-                          quality_mean_ratio_tet(tet), atol=1e-10)
-
-        hexa = UNIT_CUBE + rng.uniform(-0.2, 0.2, (8, 3))
-        assert np.isclose(quality_mean_ratio_hex(s * hexa @ rot3.T + t3),
-                          quality_mean_ratio_hex(hexa), atol=1e-10)
+        for etype, regular in REGULAR.items():
+            rot, t = random_isometry(rng, regular.shape[1])
+            points = regular + rng.uniform(-0.2, 0.2, regular.shape)
+            assert np.isclose(quality(s * points @ rot.T + t, etype),
+                              quality(points, etype), atol=1e-10), etype
 
 
 def test_element_qualities_dispatch():
@@ -147,6 +215,7 @@ def test_quality_report_json_writes_non_finite_as_null():
 def test_mesh_quality_on_generated_mesh():
     mesh = generate(GeneratorSpec("jittered-square-tri", resolution=4))
     report = mesh_quality(mesh)
-    # the unjittered structured grid: every triangle is right isosceles
-    assert np.allclose(report.per_element, 1.0 / math.sqrt(2.0))
-    assert report.mean == pytest.approx(1.0 / math.sqrt(2.0))
+    # the unjittered structured grid: every triangle is right isosceles,
+    # 4 sqrt(3) (1/2) / (1 + 1 + 2) = sqrt(3)/2
+    assert np.allclose(report.per_element, math.sqrt(3.0) / 2.0)
+    assert report.mean == pytest.approx(math.sqrt(3.0) / 2.0)

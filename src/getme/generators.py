@@ -2,8 +2,8 @@
 
 Every generator is deterministic for a fixed seed.  Jitter displaces interior
 vertices only, by a fraction of the local edge length; displacements that
-would invert an element are redrawn at half amplitude until the mesh is
-valid.
+make an element invalid (inverted, or a non-convex quad) are redrawn at half
+amplitude until the mesh is valid, so generated quads are convex.
 """
 
 from dataclasses import dataclass
@@ -45,8 +45,8 @@ class GeneratorSpec:
 
 
 def _apply_jitter(mesh, amplitude, rng, max_rounds=60):
-    """Displace interior vertices, redrawing any displacement that produces
-    an inverted element (halving the amplitude each round).  After the
+    """Displace interior vertices, redrawing any displacement that makes an
+    element invalid (halving the amplitude each round).  After the
     first round only the elements that touch a redrawn vertex are checked
     again, since an element's verdict depends on its own vertices alone."""
     if amplitude <= 0:

@@ -143,16 +143,10 @@ def triangle_areas(tris):
     """Unsigned triangle areas; works for 2D and 3D vertices."""
     tris = np.asarray(tris, dtype=float)
     if tris.shape[-1] == 2:
-        return np.abs(signed_areas_2d(tris))
+        u = tris[..., 1, :] - tris[..., 0, :]
+        v = tris[..., 2, :] - tris[..., 0, :]
+        return np.abs(0.5 * (u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]))
     return 0.5 * np.linalg.norm(triangle_normals(tris), axis=-1)
-
-
-def signed_areas_2d(tris):
-    """Signed area (positive for counter-clockwise) of 2D triangles."""
-    tris = np.asarray(tris, dtype=float)
-    u = tris[..., 1, :] - tris[..., 0, :]
-    v = tris[..., 2, :] - tris[..., 0, :]
-    return 0.5 * (u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
 
 
 def rescale_areas(tris_orig, tris_new):
@@ -230,8 +224,8 @@ OCTAHEDRON_FACES = np.array([
     (1, 5, 2), (1, 2, 3), (1, 3, 4), (1, 4, 5),
 ])
 
-#: Corner tetrahedra used by the hexahedron quality measure and validity
-#: checks: T_k = (x_k, and its three edge-neighbors in a right-handed order).
+#: Corner tetrahedra of the hexahedron, `mesh.CORNERS`' hex rows:
+#: T_k = (x_k, and its three edge-neighbors in a right-handed order).
 HEX_CORNER_TETS = np.array([
     (0, 3, 4, 1), (1, 0, 5, 2), (2, 1, 6, 3), (3, 2, 7, 0),
     (4, 7, 5, 0), (5, 4, 6, 1), (6, 5, 7, 2), (7, 6, 4, 3),

@@ -9,13 +9,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import InvalidMesh, InvalidTopology
-from .geometry import (
-    EPS_DEGENERATE,
-    HEX_CORNER_TETS,
-    HEX_FACES,
-    corner_edges,
-    signed_areas_2d,
-)
+from .geometry import EPS_DEGENERATE, HEX_CORNER_TETS, HEX_FACES, corner_edges
 
 
 class ElementType(enum.Enum):
@@ -54,7 +48,9 @@ ELEMENT_FACES = {
 
 class Mesh:
     """Immutable mesh snapshot: vertex coordinates, one element type, and a
-    set of boundary vertices that smoothers keep fixed."""
+    set of boundary vertices that smoothers keep fixed.  None pins no
+    vertex, and both readers build such a mesh from a file without boundary
+    flags; `detect_boundary` finds the vertices of the domain boundary."""
 
     def __init__(self, vertices, elements, element_type, boundary_vertices=None):
         self.vertices = np.array(vertices, dtype=float, order="C")
@@ -227,47 +223,51 @@ def det3(m):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def element_signed_measures(points, element_type):
-    """Signed size of each element, positive for valid orientation.
+def dets(m):
+    """Determinants of the 2x2 or 3x3 matrices in `m`, shape (..., d, d):
+    the one kernel of the corner measures and of quality."""
+    return (det3(m) if m.shape[-1] == 3
+            else m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])
 
-    Triangles: twice the signed area; 3D triangles have no orientation and
-    raise InvalidMesh, which is how both smoothers refuse them.  Quads: the
-    signed polygon area.  Tets: the signed volume determinant.  Hexes: the
-    smallest of the eight corner-tetrahedron determinants.
-    """
+
+#: The corners of each element type as rows (vertex, neighbours in
+#: right-handed order) of local indices: one for a triangle or a tet, four
+#: for a quad, and the eight corner tetrahedra of a hex.
+CORNERS = {
+    ElementType.TRIANGLE: np.array([(0, 1, 2)]),
+    ElementType.QUAD: np.array([(0, 1, 3), (1, 2, 0), (2, 3, 1), (3, 0, 2)]),
+    ElementType.TET: np.array([(0, 1, 2, 3)]),
+    ElementType.HEX: HEX_CORNER_TETS,
+}
+
+
+def element_signed_measures(points, element_type):
+    """The determinant of each element's `CORNERS` edges, shape (n,
+    corners), positive on a valid corner; a bilinear quad (so a non-convex
+    one) or a trilinear hex is invalid if one corner is.  3D triangles have
+    no orientation and raise InvalidMesh, which is how `validate` and both
+    smoothers refuse them."""
+    element_type = ElementType(element_type)
     points = np.asarray(points, dtype=float)
-    if element_type is ElementType.TRIANGLE:
-        if points.shape[-1] != 2:
-            raise InvalidMesh(
-                "3D triangle meshes have no orientation, and nothing "
-                "projects a moved vertex back onto the surface")
-        return 2.0 * signed_areas_2d(points)
-    if element_type is ElementType.QUAD:
-        x, y = points[..., 0], points[..., 1]
-        xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
-        return 0.5 * np.sum(x * yn - xn * y, axis=-1)
-    if element_type is ElementType.TET:
-        return det3(points[..., 1:, :] - points[..., :1, :])
-    if element_type is ElementType.HEX:
-        return hex_corner_dets(points).min(axis=-1)
-    raise InvalidMesh(f"unsupported element type {element_type}")
+    if element_type is ElementType.TRIANGLE and points.shape[-1] != 2:
+        raise InvalidMesh("3D triangle meshes have no orientation, and nothing"
+                          " projects a moved vertex back onto the surface")
+    return dets(corner_edges(points, CORNERS[element_type]))
 
 
 def hex_corner_dets(points):
     """Determinants of the eight corner tetrahedra of each hexahedron."""
-    return det3(corner_edges(points, HEX_CORNER_TETS))
+    return element_signed_measures(points, ElementType.HEX)
 
 
 def validate(mesh):
-    """Indices of inverted, (near-)degenerate or unmeasurable (NaN measure,
-    from overflow) elements: measure not above EPS_DEGENERATE * scale**dim.
-
-    Reporting only; never raises for bad elements, but a 3D triangle mesh
-    raises InvalidMesh.
-    """
+    """Indices of inverted, (near-)degenerate, non-convex or unmeasurable
+    (NaN, from overflow) elements: smallest corner determinant not above
+    EPS_DEGENERATE * scale**dim.  Reporting only; never raises for bad
+    elements, but a 3D triangle mesh raises InvalidMesh."""
     if not len(mesh.elements):
         return []
     points = mesh.element_points()
-    measures = element_signed_measures(points, mesh.element_type)
+    measures = element_signed_measures(points, mesh.element_type).min(axis=-1)
     threshold = EPS_DEGENERATE * _element_scales(points) ** mesh.dimension
     return np.flatnonzero(~(measures > threshold)).tolist()

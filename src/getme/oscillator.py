@@ -92,13 +92,6 @@ def second_order_residual(initial, t):
     return d2r + dr + r
 
 
-def _spectrum_parts(alpha0, alpha1):
-    real = -(2.0 * alpha0 * alpha1 - alpha1**2 + 2.0 * alpha0**2) / 6.0
-    disc = 5.0 * alpha0**2 - 4.0 * alpha1**2 + 8.0 * alpha0 * alpha1
-    imag = math.sqrt(3.0 * max(disc, 0.0)) / 6.0
-    return real, imag
-
-
 #: Symmetric 2x2 matrix Q of the eigenvalue real part as a quadratic form:
 #: (alpha0, alpha1) Q (alpha0, alpha1)^T = -(2 a0^2 + 2 a0 a1 - a1^2) / 6.
 #: The form is indefinite with eigenvalues (1/12)(-1 +- sqrt(13)).
@@ -131,17 +124,26 @@ class SpectrumResult:
 
 
 def spectrum(params):
-    """Closed-form eigenvalues of the radius system for the given gains."""
+    """Closed-form eigenvalues of the radius system for the given gains.
+    Their parts are homogeneous of degrees 2 and 1 in the gains, so they
+    are taken on the gains over the larger one and scaled last: only a
+    result out of the float range overflows or underflows."""
     if not isinstance(params, AdaptiveParams):
         params = AdaptiveParams(*params)
-    real, imag = _spectrum_parts(params.alpha0, params.alpha1)
-    return SpectrumResult(real, imag)
+    scale = max(params.alpha0, params.alpha1)
+    a0, a1 = params.alpha0 / scale, params.alpha1 / scale
+    real = -(2.0 * a0 * a1 - a1 * a1 + 2.0 * a0 * a0) / 6.0 * scale * scale
+    disc = 5.0 * a0 * a0 - 4.0 * a1 * a1 + 8.0 * a0 * a1
+    return SpectrumResult(real, math.sqrt(3.0 * max(disc, 0.0)) / 6.0 * scale)
 
 
 def is_convergent(params):
     """Whether the oscillations decay, i.e. the eigenvalue real part is
-    negative; equivalent to alpha1 < (1 + sqrt(3)) alpha0."""
-    return spectrum(params).lambda12_real < 0.0
+    negative: alpha1 < (1 + sqrt(3)) alpha0.  The ratio decides, so the
+    verdict holds where the real part overflows or underflows to zero."""
+    if not isinstance(params, AdaptiveParams):
+        params = AdaptiveParams(*params)
+    return params.alpha1 < (1.0 + math.sqrt(3.0)) * params.alpha0
 
 
 def compare_discrete_continuous(triangle, n_steps, params=STANDARD_PARAMS):

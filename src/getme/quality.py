@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import HEX_CORNER_TETS, corner_edges
-from .mesh import ElementType, det3
+from .geometry import corner_edges
+from .mesh import CORNERS, ElementType, dets
 
 #: Edge matrix of the regular reference tetrahedron (unit edge length).
 REFERENCE_TET_FACTOR = np.array([
@@ -26,18 +26,12 @@ REFERENCE_TET_FACTOR = np.array([
     [0.0, 0.0, math.sqrt(2.0 / 3.0)],
 ])
 
-#: The corners each element type is scored by, as rows (vertex, neighbors)
-#: of local indices, and the inverse of the reference corner's edge matrix,
-#: or None for the identity (the square and the cube).  The equilateral
+#: The inverse of the edge matrix of the reference corner of `mesh.CORNERS`
+#: where it is not the identity (the square and the cube).  The equilateral
 #: triangle is the reference tetrahedron's base.
-CORNERS = {
-    ElementType.TRIANGLE: (np.array([(0, 1, 2)]),
-                           np.linalg.inv(REFERENCE_TET_FACTOR[:2, :2])),
-    ElementType.QUAD: (np.array([(0, 1, 3), (1, 2, 0), (2, 3, 1), (3, 0, 2)]),
-                       None),
-    ElementType.TET: (np.array([(0, 1, 2, 3)]),
-                      np.linalg.inv(REFERENCE_TET_FACTOR)),
-    ElementType.HEX: (HEX_CORNER_TETS, None),
+REFERENCE_INVERSES = {
+    ElementType.TRIANGLE: np.linalg.inv(REFERENCE_TET_FACTOR[:2, :2]),
+    ElementType.TET: np.linalg.inv(REFERENCE_TET_FACTOR),
 }
 
 HISTOGRAM_BINS = 20
@@ -47,15 +41,15 @@ def element_qualities(points, element_type):
     """Mean ratio quality per element for a batch of same-type elements,
     points of shape (n, k, dim): 1 on the regular element, 0 on one whose
     every corner is degenerate or inverted, NaN where a measure overflowed."""
-    corners, reference_inv = CORNERS[ElementType(element_type)]
-    s = np.swapaxes(corner_edges(points, corners), -1, -2)
+    element_type = ElementType(element_type)
+    s = np.swapaxes(corner_edges(points, CORNERS[element_type]), -1, -2)
+    reference_inv = REFERENCE_INVERSES.get(element_type)
     if reference_inv is not None:
         s = s @ reference_inv
     rows, dim = s.shape[-2:]
     with np.errstate(all="ignore"):
         m = np.swapaxes(s, -1, -2) @ s if rows > dim else s
-        det = (det3(m) if dim == 3
-               else m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])
+        det = dets(m)
         if rows > dim:
             det = np.sqrt(np.maximum(det, 0.0))
         trace = np.einsum("...ij,...ij->...", s, s)

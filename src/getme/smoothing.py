@@ -7,17 +7,16 @@ the error bound.  Each element type is described by the triangles it is
 transformed through (`ELEMENT_TRIANGLES`): a triangle by itself, a quad by
 its four corner triangles, a tet by its four faces and a hex by the eight
 faces of its dual octahedron.  Every element is transformed independently
-from a frozen vertex snapshot, flipped elements are reset when the
-orientation guard is active, and each interior vertex then moves to the
-arithmetic mean of its images across the incident elements.  With the guard
-active, vertex moves that would invert an element are rolled back, so a
-guarded run never introduces new inverted elements.  Each accepted vertex
-state is gathered and measured once: its element points are scored by the
-outer loop and are the next iteration's snapshot.  SmartLaplace sweeps
-every element type the same way, one colour of a greedy vertex colouring at
-a time, where no two vertices of a colour share an element.  Both guard
-by `_orientation`.  Meshes must have elements, and triangle meshes must be
-planar: `element_signed_measures` refuses 3D triangles, since nothing here
+from a frozen vertex snapshot, and each interior vertex then moves to the
+mean of its images across the incident elements.  Both smoothers guard
+every corner determinant of `_orientation` by one rule (`_inverts`): a
+step that leaves a positive corner not positive is reset or rolled back,
+so a guarded run adds no inverted corner, while corners that come in
+inverted may be repaired.  Each accepted vertex state is gathered and
+measured once: the outer loop scores its points, the next step's
+snapshot.  SmartLaplace sweeps one colour of a greedy vertex colouring at
+a time.  Meshes must have elements, and triangle meshes must be planar:
+`element_signed_measures` refuses 3D triangles, since nothing here
 projects a moved vertex back onto a surface.
 """
 
@@ -74,10 +73,10 @@ class SmootherConfig:
     """Knobs shared by all smoothers.
 
     inner_iterations=None picks the per-type default (3, or 10 for the quad
-    sub-triangles).  The guard resets elements whose orientation flips and
-    rolls back vertex moves that would invert an element; guard="none" turns
-    both off.  `smooth()` checks that the gains give a valid transformation
-    (alpha2 > 0); SmartLaplace ignores the gains and the guard.
+    sub-triangles).  The guard resets images and rolls back vertex moves
+    that would invert a corner, and lets inverted corners be repaired;
+    guard="none" turns both off.  `smooth()` checks that the gains give a
+    valid transformation (alpha2 > 0); SmartLaplace ignores gains and guard.
     """
 
     params: AdaptiveParams = STANDARD_PARAMS
@@ -153,11 +152,17 @@ _CLOSED_SURFACES = (ElementType.TET, ElementType.HEX)
 
 
 def _orientation(points, element_type):
-    """Orientation measures per element, shape (n, k): the eight corner
-    determinants of a hex, the signed measure of any other element."""
+    """Every corner determinant of each element, shape (n, corners)."""
     if element_type is ElementType.HEX:
         return hex_corner_dets(points)
-    return element_signed_measures(points, element_type)[:, None]
+    return element_signed_measures(points, element_type)
+
+
+def _inverts(guarded, orientation):
+    """Per element, whether a guarded corner ends not > 0: the one bad step
+    of both guards.  A corner is guarded while it is not <= 0 (positive, or
+    NaN from overflow), so an inverted corner may be repaired."""
+    return (guarded & ~(orientation > 0)).any(axis=1)
 
 
 def _transform(points, element_type, params, inner, orientation):
@@ -262,15 +267,14 @@ def _getme_steps(mesh, cfg):
     orientation = _orientation(points, element_type)
 
     while True:
-        sign = np.sign(orientation)
+        guarded = ~(orientation <= 0)
         new = _transform(points, element_type, cfg.params, inner, orientation)
 
         # Non-finite images are already bad, and every measure is taken row
         # by row, so the guard can measure `new` as it is.
         bad = ~np.all(np.isfinite(new.reshape(len(elems), -1)), axis=1)
         if guard_on:
-            bad |= np.any(np.sign(_orientation(new, element_type)) != sign,
-                          axis=1)
+            bad |= _inverts(guarded, _orientation(new, element_type))
         new = np.where(bad[:, None, None], points, new)
 
         acc = _vertex_sums(elems.ravel(), new.reshape(-1, verts.shape[1]),
@@ -279,13 +283,13 @@ def _getme_steps(mesh, cfg):
         points = moved[elems]
         orientation = _orientation(points, element_type)
 
-        # Averaging images of neighboring elements can still invert an
-        # element even when every image is valid; roll the vertices of any
-        # newly inverted element back to their previous positions until no
-        # new inversions remain (the rolled-back set only grows, so this
-        # terminates).  `bad` counts each reset element once.
+        # Averaging images of neighboring elements can still invert a
+        # corner even when every image is valid; roll the vertices of any
+        # element with a newly inverted corner back to their previous
+        # positions until no new inversions remain (the rolled-back set only
+        # grows, so this terminates).  `bad` counts each reset element once.
         while guard_on:
-            hit = np.any(np.sign(orientation) != sign, axis=1)
+            hit = _inverts(guarded, orientation)
             if not hit.any():
                 break
             roll = np.unique(elems[hit])
@@ -309,14 +313,14 @@ def smart_laplace(mesh, cfg=SmootherConfig()):
     """Laplacian smoothing with element-inversion rejection.
 
     Every interior vertex is moved to the barycenter of its edge-connected
-    neighbors; a move is discarded if it changes the sign of any
-    `_orientation` measure of an incident element, so a hex keeps the sign
-    of each of its eight corners, as in `smooth()`.  Each sweep is a
-    Gauss-Seidel sweep on the current positions, one colour of a greedy
-    vertex colouring at a time (`_laplace_waves`), which keeps runs
-    bit-reproducible.  No two vertices
-    of a colour share an element, so moving a whole colour at once gives
-    the bits of a per-vertex numpy loop in (colour, index) order.
+    neighbors; a move is discarded if that is not finite or if it inverts a
+    guarded corner of an incident element, by `smooth()`'s rule, so an
+    inverted corner may be repaired and is guarded from then on.  Each
+    sweep is a Gauss-Seidel sweep on the current positions, one colour of a
+    greedy vertex colouring at a time (`_laplace_waves`), which keeps runs
+    bit-reproducible.  No two vertices of a colour share an element, so
+    moving a whole colour at once gives the bits of a per-vertex numpy loop
+    in (colour, index) order.
     """
     return _iterate(mesh, cfg, _laplace_steps(mesh))
 
@@ -352,15 +356,15 @@ def _laplace_waves(mesh):
 def _laplace_steps(mesh):
     """SmartLaplace sweeps, one colour of `_laplace_waves` at a time.
 
-    Each colour moves at once and measures all its incident elements in one
-    `_orientation` call, each measure owned by its colour member.  The
-    neighbor sums run over a gather padded with a -0.0 row, since
-    x + -0.0 == x for every x, -0.0 included.
+    Each colour moves at once, measures all its incident elements in one
+    `_orientation` call, each element owned by its colour member, and then
+    guards the corners it repaired.  The neighbor sums run over a gather
+    padded with a -0.0 row, since x + -0.0 == x for every x, -0.0 included.
     """
     etype, elems = mesh.element_type, mesh.elements
     n = len(mesh.vertices)
     work = np.vstack([mesh.vertices, np.full((1, mesh.dimension), -0.0)])
-    ref_sign = np.sign(_orientation(work[elems], etype))
+    guarded = ~(_orientation(work[elems], etype) <= 0)
     plan = []
     for wave in _laplace_waves(mesh).values():
         vids, nbs, incs = zip(*wave)
@@ -370,18 +374,21 @@ def _laplace_steps(mesh):
             np.array(vids),
             np.array([nb + [n] * (k - len(nb)) for nb in nbs]).T,
             np.array([[len(nb)] for nb in nbs], dtype=float),
-            elems[inc], ref_sign[inc],
-            np.repeat(np.arange(len(wave)),
-                      [len(i) * ref_sign.shape[1] for i in incs]),
+            inc, elems[inc],
+            np.repeat(np.arange(len(wave)), list(map(len, incs))),
         ))
     while True:
         rejected = 0
-        for vids, nbs, counts, conn, sign, owner in plan:
+        for vids, nbs, counts, inc, conn, owner in plan:
             old = work[vids]
             # the same bits as work[nb].mean(axis=0) per vertex
-            work[vids] = np.add.reduce(work[nbs]) / counts
-            flipped = np.sign(_orientation(work[conn], etype)) != sign
-            bad = np.bincount(owner, weights=flipped.ravel()) > 0
+            new = work[vids] = np.add.reduce(work[nbs]) / counts
+            measures = _orientation(work[conn], etype)
+            held = guarded[inc]
+            bad = np.bincount(owner, weights=_inverts(held, measures)) > 0
+            bad |= ~np.isfinite(new).all(axis=1)   # an overflowed mean
             work[vids[bad]] = old[bad]
             rejected += int(np.count_nonzero(bad))
+            if not held.all():
+                guarded[inc] = held | (~(measures <= 0) & ~bad[owner, None])
         yield work[:n], work[elems], rejected

@@ -30,6 +30,14 @@ def test_spectrum_divergent(capsys):
     assert "divergent" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("gain", ["1e-200", "1e200"])
+def test_spectrum_at_extreme_gains(capsys, gain):
+    # the real part underflows to -0.0 at 1e-200 and overflows to -inf at
+    # 1e200; the verdict comes from the gain ratio, 1
+    assert run(["spectrum", "--alpha0", gain, "--alpha1", gain]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "convergent"
+
+
 def test_generate_then_smooth_improves(tmp_path, capsys):
     m = tmp_path / "m.mesh"
     s = tmp_path / "s.mesh"

@@ -306,18 +306,24 @@ def test_group_orders_values_within_each_key():
 
 
 def test_signed_measures():
+    # one determinant per corner: one for a triangle or a tet, four for a
+    # quad, eight for a hex
     tri = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
-    assert np.isclose(element_signed_measures(tri, ElementType.TRIANGLE), 1.0)
+    assert np.array_equal(element_signed_measures(tri, ElementType.TRIANGLE),
+                          [[1.0]])
     assert element_signed_measures(tri[:, ::-1], ElementType.TRIANGLE) < 0
 
     quad = np.array([[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]])
-    assert np.isclose(element_signed_measures(quad, ElementType.QUAD), 1.0)
+    assert np.array_equal(element_signed_measures(quad, ElementType.QUAD),
+                          np.ones((1, 4)))
 
     tet = UNIT_TET.element_points()
     assert np.isclose(element_signed_measures(tet, ElementType.TET), 1.0)
+    assert element_signed_measures(tet, ElementType.TET).shape == (1, 1)
 
     hexa = UNIT_HEX.element_points()
-    assert np.isclose(element_signed_measures(hexa, ElementType.HEX), 1.0)
+    assert np.array_equal(element_signed_measures(hexa, ElementType.HEX),
+                          np.ones((1, 8)))
 
 
 def test_validate_flags_inverted():
@@ -333,11 +339,22 @@ def test_validate_flags_degenerate():
     assert validate(mesh) == [0]
 
 
+def test_validate_flags_a_non_convex_quad():
+    # a dart of area 1 whose corner at vertex 2 is reflex; a bilinear quad is
+    # valid only if all four corner determinants are positive
+    dart = Mesh([[0.0, 0.0], [2.0, 0.0], [0.5, 0.5], [0.0, 2.0]],
+                [[0, 1, 2, 3]], "quad")
+    corners = element_signed_measures(dart.element_points(), ElementType.QUAD)
+    assert np.array_equal(corners, [[4.0, 1.0, -2.0, 1.0]])
+    assert corners.sum() / 4 == 1.0   # the area, positive
+    assert validate(dart) == [0]
+
+
 def ptp_validate(mesh):
     """`validate` with the element scale as first written, through
     `np.ptp` along the vertex axis."""
     points = mesh.element_points()
-    measures = element_signed_measures(points, mesh.element_type)
+    measures = element_signed_measures(points, mesh.element_type).min(axis=1)
     power = 3 if mesh.element_type in (ElementType.TET, ElementType.HEX) else 2
     threshold = EPS_DEGENERATE * np.ptp(points, axis=1).max(axis=-1) ** power
     return np.flatnonzero(~(measures > threshold)).tolist()

@@ -128,6 +128,19 @@ def test_convergence_boundary():
     assert abs(spectrum(AdaptiveParams(1.0, line)).lambda12_real) < 1e-12
 
 
+@pytest.mark.parametrize("gain", [1e-200, 1.3e154, 1.35e154, 1e200])
+def test_spectrum_at_extreme_gains(gain):
+    # equal gains: lambda12 = -gain**2 / 2 +- gain sqrt(3) / 2 i; the real
+    # part underflows to -0.0 at 1e-200 and overflows to -inf at 1e200 only
+    result = spectrum(AdaptiveParams(gain, gain))
+    assert math.isclose(result.lambda12_imag, gain * math.sqrt(3.0) / 2.0,
+                        rel_tol=1e-15)
+    assert math.isclose(result.lambda12_real, -0.5 * gain * gain,
+                        rel_tol=1e-15)
+    assert is_convergent(AdaptiveParams(gain, gain))
+    assert not is_convergent(AdaptiveParams(gain, 2.8 * gain))
+
+
 def test_real_part_form():
     for a0, a1 in [(1.0, 1.0), (0.3, 0.7), (2.0, 0.5)]:
         v = np.array([a0, a1])

@@ -48,8 +48,8 @@ def test_smoothers_keep_pinned_vertices_and_add_no_invalid_element(
 
 
 # one interior vertex pushed up to 0.9 cell widths along each axis often
-# inverts a few elements, or a few corners of a hex; no smoother may change
-# the sign of any of them, nor of any other corner
+# inverts a few corners; the smoothers may repair them, but no positive
+# corner may become non-positive
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(kind=st.sampled_from(GENERATED_KINDS),
        resolution=st.integers(3, 5),
@@ -57,7 +57,7 @@ def test_smoothers_keep_pinned_vertices_and_add_no_invalid_element(
        seed=st.integers(0, 2**16),
        pick=st.integers(0, 2**16),
        push=st.lists(st.floats(-0.9, 0.9), min_size=3, max_size=3))
-def test_smoothers_keep_the_sign_of_every_corner_measure(
+def test_smoothers_invert_no_positive_corner(
         kind, resolution, jitter, seed, pick, push):
     mesh = generate(GeneratorSpec(kind, resolution, jitter, seed))
     interior = np.flatnonzero(~mesh.boundary_mask)
@@ -66,10 +66,10 @@ def test_smoothers_keep_the_sign_of_every_corner_measure(
     verts[interior[pick % len(interior)]] += (
         np.array(push[:mesh.dimension]) / resolution)
     mesh = mesh.with_vertices(verts)
-    before = np.sign(_orientation(mesh.element_points(), mesh.element_type))
+    before = _orientation(mesh.element_points(), mesh.element_type)
     for result in (smooth(mesh), smart_laplace(mesh)):
         after = _orientation(result.mesh.element_points(), mesh.element_type)
-        assert np.array_equal(np.sign(after), before)
+        assert np.all(after[before > 0] > 0)
 
 
 # one vertex pushed by 0.5 to 1.5 cell widths along each axis inverts some
@@ -100,17 +100,10 @@ def test_quality_is_bounded_and_zero_on_inverted_corners(
             q = element_qualities(points, etype)
             o = _orientation(points, etype)
             assert np.all((q >= 0.0) & (q <= 1.0 + 1e-12))
-            if etype is ElementType.QUAD:
-                # the signed area is the mean of either pair of opposite
-                # corner determinants, so a non-positive area leaves at
-                # most two of the four corners positive
-                assert np.all(q[o[:, 0] <= 0.0] <= 0.5 + 1e-12)
-                continue
             assert np.all(q[np.all(o <= 0.0, axis=1)] == 0.0)
-            if etype is ElementType.HEX:
-                # the eight entries are the eight corners; a non-positive
-                # corner adds 0 to the mean
-                assert np.all(q <= (o > 0.0).mean(axis=1) + 1e-12)
+            # the entries are the corners; a non-positive corner adds 0 to
+            # the mean
+            assert np.all(q <= (o > 0.0).mean(axis=1) + 1e-12)
         assert np.all(element_qualities(mirrored, etype) == 0.0)
         assert element_qualities(collapsed, etype)[one] == 0.0
 

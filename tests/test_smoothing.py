@@ -16,10 +16,11 @@ from getme import (
     mesh_quality,
     smart_laplace,
     smooth,
+    read_mesh,
     validate,
     write_mesh,
 )
-from getme import mesh as mesh_module, quality, smoothing
+from getme import mesh as mesh_module, smoothing
 from getme.cli import run
 from getme.generators import FLIP_TRIANGLES, FLIP_VERTICES
 from getme.geometry import (
@@ -253,6 +254,63 @@ def test_flip_mesh_unguarded_inverts_one_element():
     assert int((measures <= 0).sum()) == 1
 
 
+def pushed_mesh(kind, res, seed):
+    """A mesh generated at jitter 0.2 with a random tenth of its interior
+    vertices pushed by up to 1.2 cells along each axis, which inverts some
+    elements or corners."""
+    mesh = generate(GeneratorSpec(kind, res, 0.2, seed))
+    rng = np.random.default_rng(seed)
+    interior = np.flatnonzero(~mesh.boundary_mask)
+    pick = rng.choice(interior, len(interior) // 10, replace=False)
+    verts = mesh.vertices.copy()
+    verts[pick] += rng.uniform(-1.2, 1.2, (len(pick), mesh.dimension)) / res
+    return mesh.with_vertices(verts)
+
+
+PUSHED_RESOLUTIONS = {"jittered-square-tri": 10, "quad-grid-with-hole": 10,
+                      "cube-tet": 5, "cube-hex": 5}
+
+
+@pytest.mark.parametrize("smoother", [smooth, smart_laplace])
+@pytest.mark.parametrize("kind", list(PUSHED_RESOLUTIONS))
+def test_smoothers_repair_tangled_elements(kind, smoother):
+    # the guards forbid new inversions, not sign changes, so inverted
+    # elements may be repaired while no valid one becomes invalid
+    invalid_in = invalid_out = 0
+    for seed in range(1, 11):
+        mesh = pushed_mesh(kind, PUSHED_RESOLUTIONS[kind], seed)
+        before = set(validate(mesh))
+        after = set(validate(smoother(mesh).mesh))
+        assert after <= before, seed
+        invalid_in += len(before)
+        invalid_out += len(after)
+    assert invalid_out < invalid_in
+
+
+def test_smoothers_turn_no_convex_quad_non_convex():
+    # every corner is guarded, not the signed area alone, which lets a
+    # smooth() step make a convex quad of these meshes non-convex
+    for seed in range(1, 11):
+        mesh = pushed_mesh("quad-grid-with-hole", 10, seed)
+        before = element_signed_measures(mesh.element_points(), "quad")
+        convex = np.all(before > 0, axis=1)
+        assert not convex.all()
+        for smoother in (smooth, smart_laplace):
+            after = element_signed_measures(
+                smoother(mesh).mesh.element_points(), "quad")
+            assert np.all(after[convex] > 0), (seed, smoother)
+
+
+def test_cli_smooth_repairs_a_tangled_file(tmp_path, capsys):
+    mesh = pushed_mesh("jittered-square-tri", 10, 3)
+    assert len(validate(mesh)) == 7
+    src, out = tmp_path / "tangled.mesh", tmp_path / "smoothed.mesh"
+    write_mesh(mesh, str(src))
+    assert run(["smooth", "--in", str(src), "--out", str(out),
+                "--smoother", "getme"]) == 0
+    assert validate(read_mesh(str(out))) == []
+
+
 def test_flip_mesh_guard_prevents_inversion():
     mesh = Mesh(FLIP_VERTICES, FLIP_TRIANGLES, "triangle", boundary_vertices=())
     cfg = SmootherConfig(max_iterations=1, inner_iterations=1)
@@ -346,7 +404,7 @@ def test_smart_laplace_rejects_a_move_inverting_one_end_element(inverted_first):
     assert np.array_equal(result.mesh.vertices, mesh.vertices)
 
 
-def test_smoothers_keep_every_hex_corner_sign():
+def test_smoothers_invert_no_positive_hex_corner():
     # an interior vertex pushed so far that seven hex corners invert;
     # SmartLaplace guarded by each hex's smallest corner alone inverted an
     # eighth
@@ -354,13 +412,12 @@ def test_smoothers_keep_every_hex_corner_sign():
     verts = mesh.vertices.copy()
     verts[21] += (-0.3, 0.3, -0.3)
     mesh = mesh.with_vertices(verts)
-    before = np.sign(hex_corner_dets(mesh.element_points()))
+    before = hex_corner_dets(mesh.element_points())
     assert (before < 0).sum() == 7
     for smoother in (smart_laplace, smooth):
         after = smoother(mesh).mesh
         assert not np.array_equal(after.vertices, mesh.vertices)
-        assert np.array_equal(
-            np.sign(hex_corner_dets(after.element_points())), before)
+        assert np.all(hex_corner_dets(after.element_points())[before > 0] > 0)
 
 
 def per_vertex(grouped):
@@ -390,26 +447,35 @@ def reference_colours(mesh):
 
 def reference_laplace_steps(mesh):
     """SmartLaplace as a per-vertex numpy sweep in (colour, index) order:
-    the bits `smart_laplace` must reproduce.  Yields the vertices, their
-    element points and the number of moves the sweep rejected."""
+    the bits `smart_laplace` must reproduce.  A move is rejected where its
+    mean is not finite or a guarded corner of an incident element ends not
+    > 0; the guarded corners are measured again after each colour.  Yields
+    the vertices, their element points and the number of moves the sweep
+    rejected."""
     neighbors = per_vertex(_edge_neighbors(mesh))
     incident = per_vertex(_incident_elements(mesh))
     etype, elems = mesh.element_type, mesh.elements
     verts = mesh.vertices.copy()
-    order = [v for colour in reference_colours(mesh) for v in colour]
-    ref_sign = np.sign(_orientation(verts[elems], etype))
+    colours = reference_colours(mesh)
+    # a corner is guarded while it is not <= 0: positive, or NaN
+    guarded = ~(_orientation(verts[elems], etype) <= 0)
 
     while True:
         rejected = 0
-        for v in order:
-            proposal = verts[neighbors[v]].mean(axis=0)
-            old = verts[v].copy()
-            verts[v] = proposal
-            idx = incident[v]
-            m = _orientation(verts[elems[idx]], etype)
-            if np.any(np.sign(m) != ref_sign[idx]):
-                verts[v] = old
-                rejected += 1
+        for colour in colours:
+            for v in colour:
+                proposal = verts[neighbors[v]].mean(axis=0)
+                old = verts[v].copy()
+                verts[v] = proposal
+                idx = incident[v]
+                m = _orientation(verts[elems[idx]], etype)
+                if (not np.all(np.isfinite(proposal))
+                        or np.any(guarded[idx] & ~(m > 0))):
+                    verts[v] = old
+                    rejected += 1
+            touched = np.concatenate([incident[v] for v in colour])
+            guarded[touched] = ~(_orientation(verts[elems[touched]], etype)
+                                 <= 0)
         yield verts, verts[elems], rejected
 
 
@@ -477,8 +543,8 @@ LAPLACE_REFERENCE_MESHES = {
     "degenerate-fan": fan_with_degenerate_triangle,
     "unused-vertex": lambda: with_unused_vertex(concave_fan()),
     "overflowing-fan": overflowing_fan,
-    # the proposal's x overflows to inf and both measures become NaN
-    # against a zero reference sign
+    # the proposal's x overflows to inf; both measures start at 0, so no
+    # corner is guarded and only the non-finite mean is rejected
     "overflowing-line": lambda: collinear_triangles(
         [0.0, 2.0, 1.0, 1.5e308, 1.6e308], [0.0] * 5),
     # every neighbor sits at x = -0.0, so the proposal's x is -0.0
@@ -785,15 +851,16 @@ DESK_MESHES = {
 @pytest.mark.parametrize("preset", ["standard", "adaptive"])
 @pytest.mark.parametrize("name", list(DESK_MESHES))
 def test_smooth_matches_lapack_det_reference(monkeypatch, name, preset):
-    """`det3` against LAPACK's det at every determinant site: volume outputs
-    within 1e-12, planar ones (which take no determinant) bit-identical."""
+    """`det3` against LAPACK's det at every determinant site, the corner
+    measures and quality, which both take it from `mesh`: volume outputs
+    within 1e-12, planar ones (which take no 3x3 determinant)
+    bit-identical."""
     kind, res, jitter = DESK_MESHES[name]
     mesh = generate(GeneratorSpec(kind, res, jitter, 7))
     cfg = (adaptive_config(mesh.element_type) if preset == "adaptive"
            else SmootherConfig())
     got = smooth(mesh, cfg)
     monkeypatch.setattr(mesh_module, "det3", np.linalg.det)
-    monkeypatch.setattr(quality, "det3", np.linalg.det)
     want = smooth(mesh, cfg)
     assert got.iterations_run == want.iterations_run
     assert got.guard_resets == want.guard_resets

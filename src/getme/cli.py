@@ -3,6 +3,8 @@ oscillation-model data export.
 
 Exit codes: 0 success, 1 usage error, 2 I/O or parse error, 3 the smoothed
 mesh still contains invalid elements (the mesh is written regardless).
+`getme smooth` pins the detected domain boundary of a file without boundary
+flags.
 """
 
 import argparse
@@ -14,7 +16,7 @@ from .errors import GetmeError, ParseError
 from .generators import KINDS, GeneratorSpec, generate
 from .geometry import AdaptiveParams
 from .io import FORMATS, read_mesh, write_mesh
-from .mesh import validate
+from .mesh import Mesh, detect_boundary, validate
 from .oscillator import (
     compare_discrete_continuous,
     is_convergent,
@@ -70,10 +72,12 @@ def _build_parser():
     p.add_argument("--alpha0", type=float)
     p.add_argument("--alpha1", type=float)
     p.add_argument("--inner", type=int)
-    p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--error-bound", type=float, default=1e-4)
+    p.add_argument("--max-iter", type=int,
+                   default=SmootherConfig.max_iterations)
+    p.add_argument("--error-bound", type=float,
+                   default=SmootherConfig.error_bound)
     p.add_argument("--guard", choices=(GUARD_RESET, GUARD_NONE),
-                   default=GUARD_RESET)
+                   default=SmootherConfig.guard)
     p.add_argument("--report", metavar="F.json")
     p.add_argument("--format", choices=FORMATS)
 
@@ -84,9 +88,9 @@ def _build_parser():
 
     p = sub.add_parser("generate", help="build a parametric test mesh")
     p.add_argument("--kind", required=True, choices=KINDS)
-    p.add_argument("--resolution", type=int, default=10)
-    p.add_argument("--jitter", type=float, default=0.0)
-    p.add_argument("--seed", type=_parse_seed, default=0)
+    p.add_argument("--resolution", type=int, default=GeneratorSpec.resolution)
+    p.add_argument("--jitter", type=float, default=GeneratorSpec.jitter)
+    p.add_argument("--seed", type=_parse_seed, default=GeneratorSpec.seed)
     p.add_argument("--out", dest="outfile", required=True, metavar="F")
     p.add_argument("--format", choices=FORMATS)
 
@@ -130,6 +134,14 @@ def _write_report(report, path):
 
 def _cmd_smooth(args):
     mesh = read_mesh(args.infile, args.format)
+    if not mesh.boundary_given:
+        mesh = Mesh(mesh.vertices, mesh.elements, mesh.element_type,
+                    detect_boundary(mesh))
+        print(f"note: {args.infile} has no boundary flags; pinning the "
+              f"{mesh.boundary_mask.sum()} vertices of its domain boundary",
+              file=sys.stderr)
+    if mesh.boundary_mask.all():
+        print("note: every vertex is pinned, so none moves", file=sys.stderr)
     cfg = _smoother_config(args, mesh.element_type)
     if args.smoother == "smart-laplace":
         result = smart_laplace(mesh, cfg)

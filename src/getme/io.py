@@ -2,6 +2,8 @@
 unstructured grids (.vtk), exactly one element type per file.
 
 Medit vertex references double as boundary markers (tag != 0 means boundary).
+A Medit file whose tags are all 0, or a VTK file without a `boundary` point
+array, carries no flags, and its Mesh gets no boundary set.
 Both readers read a triangle or quad mesh whose z coordinates are all zero
 as a 2D mesh.
 The VTK writer stores the boundary flags as integer point data so round
@@ -173,7 +175,7 @@ def read_medit(text):
             *coords, refs = tok.table(count,
                                       columns + [(int, "vertex reference")])
             vertices = np.column_stack(coords)
-            boundary = np.flatnonzero(refs).tolist()
+            boundary = np.flatnonzero(refs) if refs.any() else None
         elif keyword in MEDIT_KEYWORDS:
             etype = MEDIT_KEYWORDS[keyword]
             if element_type is not None and element_type is not etype:

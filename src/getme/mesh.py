@@ -49,8 +49,10 @@ ELEMENT_FACES = {
 class Mesh:
     """Immutable mesh snapshot: vertex coordinates, one element type, and a
     set of boundary vertices that smoothers keep fixed.  None pins no
-    vertex, and both readers build such a mesh from a file without boundary
-    flags; `detect_boundary` finds the vertices of the domain boundary."""
+    vertex; `boundary_given` records whether a set was given, and equality
+    ignores it.  Both readers build a mesh without one from a file without
+    boundary flags, for which `getme smooth` pins `detect_boundary`, the
+    vertices of the domain boundary."""
 
     def __init__(self, vertices, elements, element_type, boundary_vertices=None):
         self.vertices = np.array(vertices, dtype=float, order="C")
@@ -80,7 +82,8 @@ class Mesh:
             raise InvalidMesh("quad meshes must be 2D")
 
         mask = np.zeros(len(self.vertices), dtype=bool)
-        if boundary_vertices is not None:
+        self.boundary_given = boundary_vertices is not None
+        if self.boundary_given:
             idx = _indices(list(boundary_vertices), "boundary vertex")
             if idx.size and (idx.min() < 0 or idx.max() >= len(self.vertices)):
                 raise InvalidMesh("boundary vertex index out of range")

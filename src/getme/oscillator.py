@@ -9,6 +9,7 @@ discrete-vs-continuous comparison table.
 
 import csv
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,6 +99,7 @@ def second_order_residual(initial, t):
 REAL_PART_FORM = np.array([[-2.0, -1.0], [-1.0, 1.0]]) / 6.0
 
 
+@dataclass(frozen=True)
 class SpectrumResult:
     """Eigenvalues of the adaptive-parameter radius system.
 
@@ -109,18 +111,9 @@ class SpectrumResult:
     lambda12_imag reported as 0.
     """
 
-    __slots__ = ("lambda0", "lambda12_real", "lambda12_imag")
-
-    def __init__(self, lambda12_real, lambda12_imag):
-        self.lambda0 = 0.0
-        self.lambda12_real = float(lambda12_real)
-        self.lambda12_imag = float(lambda12_imag)
-
-    def __repr__(self):
-        return (
-            f"SpectrumResult(lambda0=0, lambda12={self.lambda12_real:+g}"
-            f" +- {self.lambda12_imag:g}i)"
-        )
+    lambda0: float = field(default=0.0, init=False)
+    lambda12_real: float
+    lambda12_imag: float
 
 
 def spectrum(params):

@@ -8,14 +8,13 @@ transformed through (`ELEMENT_TRIANGLES`): a triangle by itself, a quad by
 its four corner triangles, a tet by its four faces and a hex by the eight
 faces of its dual octahedron.  Every element is transformed independently
 from a frozen vertex snapshot, and each interior vertex then moves to the
-mean of its images across the incident elements.  Both smoothers guard
-every corner determinant of `_orientation` by one rule (`_inverts`): a
-step that leaves a positive corner not positive is reset or rolled back,
-so a guarded run adds no inverted corner, while corners that come in
-inverted may be repaired.  Each accepted vertex state is gathered and
-measured once: the outer loop scores its points, the next step's
-snapshot.  SmartLaplace sweeps one colour of a greedy vertex colouring at
-a time.  Meshes must have elements, and triangle meshes must be planar:
+mean of its images across the incident elements.  Both smoothers pass
+their moves through one accept step (`_accept`): a vertex whose proposal
+is not finite stays, and an element goes back if a guarded corner (one
+not <= 0 in the accepted state) ends not positive, so a guarded run adds
+no inverted corner but may repair one that came in inverted.  SmartLaplace
+sweeps one colour of a greedy vertex colouring at a time.  Meshes must
+have elements, and triangle meshes must be planar:
 `element_signed_measures` refuses 3D triangles, since nothing here
 projects a moved vertex back onto a surface.
 """
@@ -75,8 +74,9 @@ class SmootherConfig:
     inner_iterations=None picks the per-type default (3, or 10 for the quad
     sub-triangles).  The guard resets images and rolls back vertex moves
     that would invert a corner, and lets inverted corners be repaired;
-    guard="none" turns both off.  `smooth()` checks that the gains give a
-    valid transformation (alpha2 > 0); SmartLaplace ignores gains and guard.
+    guard="none" turns both off, but a move that is not finite is refused
+    either way.  `smooth()` checks that the gains give a valid
+    transformation (alpha2 > 0); SmartLaplace ignores gains and guard.
     """
 
     params: AdaptiveParams = STANDARD_PARAMS
@@ -159,9 +159,8 @@ def _orientation(points, element_type):
 
 
 def _inverts(guarded, orientation):
-    """Per element, whether a guarded corner ends not > 0: the one bad step
-    of both guards.  A corner is guarded while it is not <= 0 (positive, or
-    NaN from overflow), so an inverted corner may be repaired."""
+    """Per element, whether a guarded corner (one not <= 0: positive, or NaN
+    from overflow) ends not > 0, the one bad step of both smoothers."""
     return (guarded & ~(orientation > 0)).any(axis=1)
 
 
@@ -253,6 +252,30 @@ def _vertex_sums(indices, values, n):
                      for col in values.T], axis=1)
 
 
+def _accept(new, old, rows, conn, guarded, element_type):
+    """The accept step of both smoothers, on `new` in place: `rows` moved
+    from `old` and touch the elements `conn`, with corners `guarded`.  A
+    row whose proposal is not finite stays where it was; then the vertices
+    of every element with a guarded corner that ends not > 0 go back to
+    `old` until none is left.  Returns the accepted element points, their
+    `_orientation`, the elements sent back and the rows that stayed."""
+    finite = np.isfinite(new[rows])
+    roll = rows[:0] if finite.all() else rows[~finite.all(axis=1)]
+    back = np.zeros(len(conn), dtype=bool)
+    sent = np.zeros(len(new), dtype=bool)
+    while True:
+        new[roll] = old[roll]
+        sent[roll] = True
+        points = new[conn]
+        orientation = _orientation(points, element_type)
+        hit = _inverts(guarded, orientation)
+        back |= hit   # before the end check: a NaN corner stays hit
+        roll = conn[hit]
+        if not hit.any() or np.array_equal(new[roll], old[roll]):
+            sent[roll] = True
+            return points, orientation, back, sent[rows]
+
+
 def _getme_steps(mesh, cfg):
     """Simultaneous transform-and-average iterations of `smooth()`; each
     accepted state's points and measures are the next snapshot's."""
@@ -262,12 +285,13 @@ def _getme_steps(mesh, cfg):
     verts, elems = mesh.vertices, mesh.elements
     counts = np.bincount(elems.ravel(), minlength=len(verts))
     pinned = ((counts == 0) | mesh.boundary_mask)[:, None]
+    free = np.flatnonzero(~pinned)
     counts = np.maximum(counts, 1)[:, None]
     points = verts[elems]
     orientation = _orientation(points, element_type)
 
     while True:
-        guarded = ~(orientation <= 0)
+        guarded = ~(orientation <= 0) & guard_on
         new = _transform(points, element_type, cfg.params, inner, orientation)
 
         # Non-finite images are already bad, and every measure is taken row
@@ -277,31 +301,14 @@ def _getme_steps(mesh, cfg):
             bad |= _inverts(guarded, _orientation(new, element_type))
         new = np.where(bad[:, None, None], points, new)
 
+        # Averaging valid images can still invert a corner: `_accept`
+        # sends such elements back, and each reset element counts once.
         acc = _vertex_sums(elems.ravel(), new.reshape(-1, verts.shape[1]),
                            len(verts))
-        moved = np.where(pinned, verts, acc / counts)
-        points = moved[elems]
-        orientation = _orientation(points, element_type)
-
-        # Averaging images of neighboring elements can still invert a
-        # corner even when every image is valid; roll the vertices of any
-        # element with a newly inverted corner back to their previous
-        # positions until no new inversions remain (the rolled-back set only
-        # grows, so this terminates).  `bad` counts each reset element once.
-        while guard_on:
-            hit = _inverts(guarded, orientation)
-            if not hit.any():
-                break
-            roll = np.unique(elems[hit])
-            if np.array_equal(moved[roll], verts[roll]):
-                break
-            moved[roll] = verts[roll]
-            bad |= hit
-            points = moved[elems]
-            orientation = _orientation(points, element_type)
-
-        verts = moved
-        yield verts, points, int(bad.sum())
+        old, verts = verts, np.where(pinned, verts, acc / counts)
+        points, orientation, back, _ = _accept(verts, old, free, elems,
+                                               guarded, element_type)
+        yield verts, points, int((bad | back).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +320,13 @@ def smart_laplace(mesh, cfg=SmootherConfig()):
     """Laplacian smoothing with element-inversion rejection.
 
     Every interior vertex is moved to the barycenter of its edge-connected
-    neighbors; a move is discarded if that is not finite or if it inverts a
-    guarded corner of an incident element, by `smooth()`'s rule, so an
-    inverted corner may be repaired and is guarded from then on.  Each
-    sweep is a Gauss-Seidel sweep on the current positions, one colour of a
-    greedy vertex colouring at a time (`_laplace_waves`), which keeps runs
-    bit-reproducible.  No two vertices of a colour share an element, so
-    moving a whole colour at once gives the bits of a per-vertex numpy loop
-    in (colour, index) order.
+    neighbors, through `smooth()`'s accept step: a move is refused if that
+    is not finite or if it inverts a guarded corner of an incident element,
+    and an inverted corner may be repaired.  Each sweep is a Gauss-Seidel
+    sweep on the current positions, one colour of a greedy vertex colouring
+    at a time (`_laplace_waves`), which keeps runs bit-reproducible.  No two
+    vertices of a colour share an element, so moving a whole colour at once
+    gives the bits of a per-vertex numpy loop in (colour, index) order.
     """
     return _iterate(mesh, cfg, _laplace_steps(mesh))
 
@@ -354,16 +360,14 @@ def _laplace_waves(mesh):
 
 
 def _laplace_steps(mesh):
-    """SmartLaplace sweeps, one colour of `_laplace_waves` at a time.
-
-    Each colour moves at once, measures all its incident elements in one
-    `_orientation` call, each element owned by its colour member, and then
-    guards the corners it repaired.  The neighbor sums run over a gather
-    padded with a -0.0 row, since x + -0.0 == x for every x, -0.0 included.
-    """
+    """SmartLaplace sweeps, one colour of `_laplace_waves` at a time, each
+    through `_accept` with the elements it touches; `old` follows `work`
+    one colour at a time.  The neighbor sums run over a gather padded with
+    a -0.0 row, since x + -0.0 == x for every x, -0.0 included."""
     etype, elems = mesh.element_type, mesh.elements
     n = len(mesh.vertices)
     work = np.vstack([mesh.vertices, np.full((1, mesh.dimension), -0.0)])
+    old = work.copy()
     guarded = ~(_orientation(work[elems], etype) <= 0)
     plan = []
     for wave in _laplace_waves(mesh).values():
@@ -375,20 +379,16 @@ def _laplace_steps(mesh):
             np.array([nb + [n] * (k - len(nb)) for nb in nbs]).T,
             np.array([[len(nb)] for nb in nbs], dtype=float),
             inc, elems[inc],
-            np.repeat(np.arange(len(wave)), list(map(len, incs))),
         ))
     while True:
         rejected = 0
-        for vids, nbs, counts, inc, conn, owner in plan:
-            old = work[vids]
+        for vids, nbs, counts, inc, conn in plan:
             # the same bits as work[nb].mean(axis=0) per vertex
-            new = work[vids] = np.add.reduce(work[nbs]) / counts
-            measures = _orientation(work[conn], etype)
+            work[vids] = np.add.reduce(work[nbs]) / counts
             held = guarded[inc]
-            bad = np.bincount(owner, weights=_inverts(held, measures)) > 0
-            bad |= ~np.isfinite(new).all(axis=1)   # an overflowed mean
-            work[vids[bad]] = old[bad]
-            rejected += int(np.count_nonzero(bad))
-            if not held.all():
-                guarded[inc] = held | (~(measures <= 0) & ~bad[owner, None])
+            _, corners, _, stayed = _accept(work, old, vids, conn, held, etype)
+            old[vids] = work[vids]
+            rejected += int(np.count_nonzero(stayed))
+            if not held.all():   # else every corner stays guarded
+                guarded[inc] = ~(corners <= 0)
         yield work[:n], work[elems], rejected

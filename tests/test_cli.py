@@ -7,6 +7,7 @@ import pytest
 from getme import (
     GeneratorSpec,
     Mesh,
+    detect_boundary,
     generate,
     mesh_quality,
     read_mesh,
@@ -65,8 +66,10 @@ def test_smooth_equilateral_is_identity(tmp_path):
 
 
 def test_smooth_exit_3_on_remaining_invalid(tmp_path, capsys):
-    m = tmp_path / "flip.mesh"
-    s = tmp_path / "flip_out.mesh"
+    # VTK stores the fixture's empty boundary set; an all-zero Medit file
+    # would pin the detected boundary, here every vertex
+    m = tmp_path / "flip.vtk"
+    s = tmp_path / "flip_out.vtk"
     write_mesh(generate(GeneratorSpec("two-triangle-flip")), m)
     code = run(["smooth", "--in", str(m), "--smoother", "getme",
                 "--guard", "none", "--max-iter", "1", "--inner", "1",
@@ -74,6 +77,40 @@ def test_smooth_exit_3_on_remaining_invalid(tmp_path, capsys):
     assert code == 3
     assert s.exists()  # the mesh is still written
     assert "invalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("smoother", ["getme", "smart-laplace"])
+@pytest.mark.parametrize("suffix", [".mesh", ".vtk"])
+@pytest.mark.parametrize("kind", ["jittered-square-tri", "quad-grid-with-hole",
+                                  "cube-tet", "cube-hex"])
+def test_smooth_pins_the_detected_boundary_of_a_file_without_flags(
+        tmp_path, capsys, kind, suffix, smoother):
+    # a Medit file whose vertex refs are all 0, or a VTK file cut before its
+    # POINT_DATA block
+    mesh = generate(GeneratorSpec(kind, 6, 0.3, 7))
+    m, s = tmp_path / f"in{suffix}", tmp_path / f"out{suffix}"
+    write_mesh(Mesh(mesh.vertices, mesh.elements, mesh.element_type), m)
+    if suffix == ".vtk":
+        m.write_text(m.read_text().split("POINT_DATA")[0])
+    assert run(["smooth", "--in", str(m), "--smoother", smoother,
+                "--out", str(s)]) == 0
+    out = read_mesh(s)
+    pinned = sorted(detect_boundary(mesh))
+    assert out.vertices[pinned].tobytes() == mesh.vertices[pinned].tobytes()
+    assert not np.array_equal(out.vertices, mesh.vertices)
+    assert "no boundary flags" in capsys.readouterr().err
+    assert not read_mesh(m).boundary_given
+
+
+def test_smooth_says_when_the_flags_pin_every_vertex(tmp_path, capsys):
+    mesh = generate(GeneratorSpec("jittered-square-tri", 4, 0.3, 7))
+    m, s = tmp_path / "in.mesh", tmp_path / "out.mesh"
+    write_mesh(Mesh(mesh.vertices, mesh.elements, mesh.element_type,
+                    range(len(mesh.vertices))), m)
+    assert run(["smooth", "--in", str(m), "--smoother", "getme",
+                "--out", str(s)]) == 0
+    assert "every vertex is pinned" in capsys.readouterr().err
+    assert read_mesh(s).vertices.tobytes() == read_mesh(m).vertices.tobytes()
 
 
 #: A valid patch plus one element whose distinct vertex ids share one

@@ -4,21 +4,32 @@ The profile is derandomized with a fixed example count, so every run
 draws the same examples and the suite stays quick.
 """
 
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from getme import (
     ElementType,
     GeneratorSpec,
+    Mesh,
+    SmootherConfig,
     element_qualities,
     generate,
     smart_laplace,
     smooth,
     validate,
+    write_mesh,
 )
-from getme.smoothing import _orientation
+from getme.cli import run
+from getme.io import read_medit, read_vtk, write_medit, write_vtk
+from getme.smoothing import _iterate, _orientation
+from test_cli import strict_json
+from test_smoothing import reference_laplace_steps
 
 GENERATED_KINDS = ("jittered-square-tri", "disk-tri", "quad-grid-with-hole",
                    "cube-tet", "cube-hex")
@@ -106,6 +117,80 @@ def test_quality_is_bounded_and_zero_on_inverted_corners(
             assert np.all(q <= (o > 0.0).mean(axis=1) + 1e-12)
         assert np.all(element_qualities(mirrored, etype) == 0.0)
         assert element_qualities(collapsed, etype)[one] == 0.0
+
+
+# a tenth of the interior pushed by up to 1.2 cell widths along each axis
+# tangles elements, so the sweeps reject moves and repair corners; quad
+# grids below res 5 have an interior at res 2 only
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(kind=st.sampled_from(GENERATED_KINDS),
+       resolution=st.integers(2, 4),
+       jitter=st.floats(0.0, 0.45),
+       seed=st.integers(0, 2**16))
+def test_smart_laplace_matches_the_per_vertex_reference_on_pushed_meshes(
+        kind, resolution, jitter, seed):
+    mesh = generate(GeneratorSpec(kind, resolution, jitter, seed))
+    rng = np.random.default_rng(seed)
+    interior = np.flatnonzero(~mesh.boundary_mask)
+    pick = rng.choice(interior, -(-len(interior) // 10), replace=False)
+    verts = mesh.vertices.copy()
+    push = rng.uniform(-1.2, 1.2, (len(pick), mesh.dimension))
+    verts[pick] += push / resolution
+    mesh = mesh.with_vertices(verts)
+    got = smart_laplace(mesh)
+    want = _iterate(mesh, SmootherConfig(), reference_laplace_steps(mesh))
+    assert got.mesh.vertices.tobytes() == want.mesh.vertices.tobytes()
+    assert got.iterations_run == want.iterations_run
+    assert got.guard_resets == want.guard_resets
+
+
+# every finite double, subnormals, -0.0 and the float maximum included; a
+# planar mesh is 2D, since the readers drop an all-zero z column of a
+# triangle or quad mesh
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(kind=st.sampled_from(GENERATED_KINDS), data=st.data())
+def test_medit_and_vtk_round_trips_are_exact(kind, data):
+    mesh = generate(GeneratorSpec(kind, 2))
+    n, dim = mesh.vertices.shape
+    coords = data.draw(arrays(np.float64, (n, dim), elements=st.floats(
+        allow_nan=False, allow_infinity=False)))
+    flags = data.draw(arrays(np.bool_, n))
+    mesh = Mesh(coords, mesh.elements, mesh.element_type,
+                np.flatnonzero(flags))
+    for write, read in ((write_medit, read_medit), (write_vtk, read_vtk)):
+        buf = io.StringIO()
+        write(mesh, buf)
+        back = read(buf.getvalue())
+        assert back.vertices.tobytes() == mesh.vertices.tobytes()
+        assert np.array_equal(back.elements, mesh.elements)
+        assert back.element_type is mesh.element_type
+        assert np.array_equal(back.boundary_mask, mesh.boundary_mask)
+
+
+# the measures of a mesh at 1e300 overflow and those at 1e-150 underflow;
+# a non-finite mean or min is written as null
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(kind=st.sampled_from(GENERATED_KINDS),
+       jitter=st.floats(0.0, 0.45),
+       seed=st.integers(0, 2**16),
+       scale=st.sampled_from([1.0, 1e150, 1e-150, 1e300]))
+def test_every_report_is_strict_json(kind, jitter, seed, scale):
+    mesh = generate(GeneratorSpec(kind, 3, jitter, seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = str(Path(tmp, "in.mesh")), str(Path(tmp, "out.mesh"))
+        write_mesh(mesh.with_vertices(mesh.vertices * scale), src)
+        reports = {name: Path(tmp, f"{name}.json")
+                   for name in ("quality", "getme", "smart-laplace")}
+        with np.errstate(all="ignore"):
+            assert run(["quality", "--in", src,
+                        "--report", str(reports["quality"])]) == 0
+            for smoother in ("getme", "smart-laplace"):
+                # 3: elements whose measures overflowed stay invalid
+                assert run(["smooth", "--in", src, "--smoother", smoother,
+                            "--out", out,
+                            "--report", str(reports[smoother])]) in (0, 3)
+        for report in reports.values():
+            strict_json(report.read_text())
 
 
 REGULAR_ELEMENTS = {

@@ -620,6 +620,21 @@ def test_smart_laplace_rejects_every_move_on_overflowing_tets():
     assert result.iterations_run == 1
 
 
+@pytest.mark.parametrize("kind", ["jittered-square-tri", "quad-grid-with-hole",
+                                  "cube-tet", "cube-hex", "disk-tri"])
+def test_unguarded_smoothing_near_the_float_maximum_stays_finite(kind):
+    # the averaged images of a mesh at 1.7e308 overflow; the accept step
+    # keeps such a vertex where it was, with or without the guard
+    mesh = generate(GeneratorSpec(kind, 4, 0.3, 7))
+    mesh = mesh.with_vertices(mesh.vertices * 1.7e308)
+    with np.errstate(all="ignore"):
+        result = smooth(mesh, SmootherConfig(guard=GUARD_NONE))
+    assert np.isfinite(result.mesh.vertices).all()
+    pinned = mesh.boundary_mask
+    assert (result.mesh.vertices[pinned].tobytes()
+            == mesh.vertices[pinned].tobytes())
+
+
 def rotation_3d(axis, ang):
     """Rotation by `ang` about the direction `axis` (Rodrigues' formula)."""
     k = np.asarray(axis, dtype=float) / np.linalg.norm(axis)

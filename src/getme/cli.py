@@ -1,8 +1,9 @@
 """Command-line driver: mesh generation, smoothing, quality reporting and
 oscillation-model data export.
 
-Exit codes: 0 success, 1 usage error, 2 I/O or parse error, 3 the smoothed
-mesh still contains invalid elements (the mesh is written regardless).
+Exit codes: 0 success, 1 usage error, 2 I/O or parse error or a facet shared
+by more than two elements, 3 the smoothed mesh still contains invalid
+elements (the mesh is written regardless).
 `getme smooth` pins the detected domain boundary of a file without boundary
 flags.
 """
@@ -12,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .errors import GetmeError, ParseError
+from .errors import GetmeError, InvalidTopology, ParseError
 from .generators import KINDS, GeneratorSpec, generate
 from .geometry import AdaptiveParams
 from .io import FORMATS, read_mesh, write_mesh
@@ -220,7 +221,7 @@ def run(argv=None):
         return 0 if exc.code == 0 else 1
     try:
         return _COMMANDS[args.subcommand](args)
-    except (ParseError, OSError) as exc:
+    except (ParseError, InvalidTopology, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GetmeError, ValueError) as exc:
@@ -230,3 +231,7 @@ def run(argv=None):
 
 def main():
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -96,31 +96,96 @@ def centroid_ratios(tris):
     return np.roll(r, 1, axis=-1) / r
 
 
-def transform_triangles(tris, params=STANDARD_PARAMS):
+def _mean(slabs, out):
+    """The mean of the equally shaped `slabs` into `out`, with the bits of
+    np.mean over a short axis: the slabs added in order, then divided by
+    their count."""
+    if len(slabs) == 1:
+        np.copyto(out, slabs[0])
+    else:
+        np.add(slabs[0], slabs[1], out=out)
+    for i in range(2, len(slabs)):
+        np.add(out, slabs[i], out=out)
+    return np.divide(out, float(len(slabs)), out=out)
+
+
+def _slabs(points):
+    """The slab view (rows, dim, ...) of (..., rows, dim) points, given a
+    batch axis of one if they have none."""
+    t = np.asarray(points, dtype=float)
+    if t.ndim == 3:
+        return t.transpose(1, 2, 0)
+    t = t if t.ndim > 2 else t[None]
+    return t.transpose((-2, -1) + tuple(range(t.ndim - 2)))
+
+
+def _buffers(points, out, work):
+    """A kernel's result `out` (the caller's, or a new C array shaped like
+    `points`), its slab view, and the slab view of the scratch `work`
+    (..., 5, dim), the caller's or a new one."""
+    if out is None:
+        out = np.empty(np.shape(points))
+    o = _slabs(out)
+    w = np.empty((5,) + o.shape[1:]) if work is None else _slabs(work)
+    return out, o, w
+
+
+def transform_triangles(tris, params=STANDARD_PARAMS, out=None, work=None):
     """Batched transformation without degeneracy checks.
 
     Returns NaN rows for degenerate inputs (zero radius); callers that need a
     total function mask non-finite results instead of catching exceptions.
-    Takes `tris` in any memory layout and never writes to it; its reductions
-    run fastest when the row index varies fastest in memory.
+    Takes `tris` (..., 3, dim) in any layout and writes only to `out`, which
+    may be `tris`.  The arithmetic runs on slot slabs: vertex i of every
+    triangle, (dim, ...) at slab view index i.  It runs fastest when each
+    slab is one C block, that is when `tris`, `out` and the scratch `work`,
+    shaped (..., 5, dim), are views of C arrays laid out (rows, dim, ...);
+    with them a caller that transforms one batch again and again allocates
+    nothing.
     """
-    tris = np.asarray(tris, dtype=float)
-    c = tris.mean(axis=-2, keepdims=True)
-    d = tris - c
-    radii = np.sqrt(np.add.reduce(d * d, axis=-1))  # np.linalg.norm's bits
+    g = _slabs(tris)
+    out, o, w = _buffers(tris, out, work)
+    d, (d0, d1, d2, c, m), (o0, o1, o2) = w[:3], w, o
+    _mean(g, c)
+    # Slot by slot, unrolled: a broadcast over the slot axis would buffer.
+    np.subtract(g[0], c, out=d0)
+    np.subtract(g[1], c, out=d1)
+    np.subtract(g[2], c, out=d2)
+    # The radii and their ratios live in `o` until the images are written.
+    radii, ratios = o[:, 0], o[:, 1]
+    np.multiply(d, d, out=o)
+    for j in range(1, o.shape[1]):   # np.linalg.norm's bits
+        np.add(radii, o[:, j], out=radii)
+    np.sqrt(radii, out=radii)
     # With t_j = alpha0 r_j (x_j - c), the AdaptiveParams formula for vertex i
     # reads (1/3)(2 t_i - t_{i+1} - t_{i-1}) + k (t_{i+1} - t_{i-1})
     # = t_i - mean(t) + k (t_{i+1} - t_{i-1}),  k = (alpha0 - alpha1) / (3 alpha0).
     # The weights sum to zero, so the centroid stays fixed.  Equal gains have
-    # k = 0 and skip the second term.  Index [2, 0, 1] takes each vertex's
-    # predecessor and [1, 2, 0] its successor, as np.roll by 1 and -1 would.
+    # k = 0 and skip the second term.
     k = (params.alpha0 - params.alpha1) / (3.0 * params.alpha0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        d *= (params.alpha0 * (radii[..., [2, 0, 1]] / radii))[..., None]
-        out = d - d.mean(axis=-2, keepdims=True)
-        if k:
-            out += k * (d[..., [1, 2, 0], :] - d[..., [2, 0, 1], :])
-    out += c
+        np.divide(radii[2], radii[0], out=ratios[0])   # r_i = R_{i-1} / R_i
+        np.divide(radii[:2], radii[1:], out=ratios[1:])
+        if params.alpha0 != 1.0:
+            np.multiply(ratios, params.alpha0, out=ratios)
+        np.multiply(d, ratios[:, None], out=d)
+        _mean(d, m)
+        if k:   # (t_i - mean(t)) + k (t_{i+1} - t_{i-1}), added in that order
+            np.subtract(d1, d2, out=o0)
+            np.subtract(d2, d0, out=o1)
+            np.subtract(d0, d1, out=o2)
+            np.multiply(o, k, out=o)
+            np.subtract(d0, m, out=d0)
+            np.subtract(d1, m, out=d1)
+            np.subtract(d2, m, out=d2)
+            np.add(d, o, out=o)
+        else:
+            np.subtract(d0, m, out=o0)
+            np.subtract(d1, m, out=o1)
+            np.subtract(d2, m, out=o2)
+    np.add(o0, c, out=o0)
+    np.add(o1, c, out=o1)
+    np.add(o2, c, out=o2)
     return out
 
 
@@ -139,24 +204,60 @@ def transform_triangle(tri, params=STANDARD_PARAMS):
     return out[0] if single else out
 
 
+def _areas(t, out, w):
+    """Unsigned areas of the triangles whose slot slabs are `t` (3, dim,
+    ...) into `out`, with `w` of t's shape as scratch; 2D or 3D."""
+    u, v, p = w
+    np.subtract(t[1], t[0], out=u)
+    np.subtract(t[2], t[0], out=v)
+    if len(u) == 2:
+        np.multiply(u[0], v[1], out=out)
+        np.multiply(u[1], v[0], out=p[0])
+        np.subtract(out, p[0], out=out)
+    else:
+        # the normal u x v, then its norm, with np.cross's and norm's bits
+        for i in range(3):
+            a, b = (i + 1) % 3, (i + 2) % 3
+            np.multiply(u[a], v[b], out=p[i])
+            np.multiply(u[b], v[a], out=out)
+            np.subtract(p[i], out, out=p[i])
+        np.multiply(p, p, out=p)
+        np.add(p[0], p[1], out=out)
+        np.add(out, p[2], out=out)
+        np.sqrt(out, out=out)
+    np.multiply(out, 0.5, out=out)
+    return np.abs(out, out=out)
+
+
 def triangle_areas(tris):
     """Unsigned triangle areas; works for 2D and 3D vertices."""
-    tris = np.asarray(tris, dtype=float)
-    if tris.shape[-1] == 2:
-        u = tris[..., 1, :] - tris[..., 0, :]
-        v = tris[..., 2, :] - tris[..., 0, :]
-        return np.abs(0.5 * (u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]))
-    return 0.5 * np.linalg.norm(triangle_normals(tris), axis=-1)
+    t = _slabs(tris)
+    areas = _areas(t, np.empty(t.shape[2:]), np.empty(t.shape))
+    return areas.reshape(np.shape(tris)[:-2])[()]
 
 
-def rescale_areas(tris_orig, tris_new):
-    """Batched area restoration: scale each new triangle about its centroid."""
-    a_orig = triangle_areas(tris_orig)
-    a_new = triangle_areas(tris_new)
+def rescale_areas(tris_orig, tris_new, out=None, work=None):
+    """Batched area restoration: scale each new triangle about its centroid.
+    `out` may be either input; `out` and `work` as in `transform_triangles`."""
+    g, h = _slabs(tris_orig), _slabs(tris_new)
+    out, o, w = _buffers(tris_new, out, work)
+    (factor, a_new), c = w[3, :2], w[4]
+    _areas(g, factor, w[:3])
+    _areas(h, a_new, w[:3])
     with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.sqrt(a_orig / a_new)
-    c = centroids(tris_new)[..., None, :]
-    return factor[..., None, None] * (np.asarray(tris_new, float) - c) + c
+        np.divide(factor, a_new, out=factor)
+        np.sqrt(factor, out=factor)
+    h0, h1, h2 = h
+    o0, o1, o2 = o
+    _mean(h, c)
+    np.subtract(h0, c, out=o0)
+    np.subtract(h1, c, out=o1)
+    np.subtract(h2, c, out=o2)
+    np.multiply(o, factor, out=o)
+    np.add(o0, c, out=o0)
+    np.add(o1, c, out=o1)
+    np.add(o2, c, out=o2)
+    return out
 
 
 def rescale_area(tri_orig, tri_new):
@@ -197,13 +298,6 @@ def distortion(tri):
     if np.any(lmax == 0.0):
         raise DegenerateElement("element has zero maximal edge length")
     return lengths.min(axis=-1) / lmax
-
-
-def triangle_normals(tris):
-    """Unnormalized normals (x1-x0) x (x2-x0) of 3D triangles."""
-    tris = np.asarray(tris, dtype=float)
-    return np.cross(tris[..., 1, :] - tris[..., 0, :],
-                    tris[..., 2, :] - tris[..., 0, :])
 
 
 # ---------------------------------------------------------------------------

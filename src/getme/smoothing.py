@@ -29,8 +29,8 @@ from .geometry import (
     AdaptiveParams,
     OCTAHEDRON_FACES,
     STANDARD_PARAMS,
+    _mean,
     hex_face_barycenters,
-    octahedron_to_hex,
     rescale_areas,
     transform_triangles,
 )
@@ -138,11 +138,11 @@ ELEMENT_TRIANGLES = {
 
 
 def _image_slots(tris):
-    """For working point j, the positions of its images in triangle order, in
-    `_transform`'s layout, where slot s of triangle t sits at s * len(tris) + t;
-    every working point has the same number of images."""
+    """The slots and the triangles of the images of each working point, in
+    triangle order: two arrays of shape (images, points), since every
+    working point has the same number of images."""
     t, s = np.divmod(np.argsort(tris.ravel(), kind="stable"), 3)
-    return (s * len(tris) + t).reshape(tris.max() + 1, -1)
+    return (s.reshape(tris.max() + 1, -1).T, t.reshape(tris.max() + 1, -1).T)
 
 
 _IMAGE_SLOTS = {e: _image_slots(t) for e, t in ELEMENT_TRIANGLES.items()}
@@ -164,47 +164,98 @@ def _inverts(guarded, orientation):
     return (guarded & ~(orientation > 0)).any(axis=1)
 
 
-def _transform(points, element_type, params, inner, orientation):
-    """Transform every element through its triangles.
+def _take_mean(src, index, out, scratch):
+    """Into the rows of `out` (..., n), the mean of the rows of `src` (R, n)
+    that `index` (m, ...) names along its first axis, with the bits of
+    src[index].mean(axis=0): one take into `scratch`, then adds in order."""
+    n = out.shape[-1]
+    rows = scratch.reshape(-1, n)[:index.size]
+    np.take(src, index.ravel(), axis=0, out=rows, mode="clip")
+    _mean(rows.reshape(index.shape + (n,)),
+          out.reshape(index.shape[1:] + (n,)))
 
+
+class _Transform:
+    """The element transform of one `smooth()` call, with every buffer its
+    passes write allocated once from the shape (n, k, dim) of the element
+    points.
+
+    Working points are laid out (dim, k, n) and the triangles (3, dim, T n),
+    so that slot i of all T n triangles is the C block `tris[i]`; every
+    gather is one take of rows of such a buffer seen as (rows, n).
     Sub-triangles (tri, quad) get their area back after every pass and their
     images are averaged once at the end.  Closed surfaces (tet, hex
     octahedron) are averaged on every pass; the result is scaled about its
     centroid to the volume given by `orientation`, the measures of `points`.
-    Working points are laid out (dim, k, n) and triangles as the (T n, 3, dim)
-    view of a (dim, 3, T, n) gather, so the element index varies fastest.
+    A call returns the workspace's own (n, k, dim) buffer, which the next
+    call overwrites.
     """
-    faces = ELEMENT_TRIANGLES[element_type].T
-    slots = _IMAGE_SLOTS[element_type]
-    closed = element_type in _CLOSED_SURFACES
-    hexes = element_type is ElementType.HEX
-    n, dim = points.shape[0], points.shape[-1]
-    cur = np.ascontiguousarray(points.T)
-    if hexes:
-        cur = np.ascontiguousarray(hex_face_barycenters(cur.T).T)
 
-    def average_images(t):
-        return t.T.reshape(dim, -1, n)[:, slots].sum(axis=2) / slots.shape[1]
+    def __init__(self, element_type, shape):
+        n, k, dim = shape
+        triangles = ELEMENT_TRIANGLES[element_type]
+        hexes = element_type is ElementType.HEX
+        self.element_type = element_type
+        self.elements = np.empty((dim, k, n))
+        self.cur = np.empty((dim, 6, n)) if hexes else self.elements
+        self.tris = np.empty((3, dim, len(triangles) * n))
+        self.new = np.empty_like(self.tris)
+        self.work = np.empty((5,) + self.tris.shape[1:])
+        # their (T n, rows, dim) views, as geometry takes triangles
+        self.rows = [a.transpose(2, 0, 1)
+                     for a in (self.tris, self.new, self.work)]
+        self.out = np.empty(shape)
+        # Row indices into the (rows, n) views: coordinate j of working
+        # point p is row j * working + p; of vertex i of triangle t, row
+        # (i * dim + j) * T + t.
+        j = np.arange(dim)[:, None]
+        working = self.cur.shape[1]
+        self.faces = (j * working + triangles.T[:, None]).ravel()
+        s, t = _IMAGE_SLOTS[element_type]
+        self.images = (s[:, None] * dim + j) * len(triangles) + t[:, None]
+        if hexes:
+            self.octahedron = j * working + OCTAHEDRON_FACES.T[:, None]
 
-    tris = cur[:, faces].reshape(dim, 3, -1).T
-    for _ in range(inner):
-        new = transform_triangles(tris, params)
-        if closed:
-            cur = average_images(new)
-            tris = cur[:, faces].reshape(dim, 3, -1).T
+    def __call__(self, points, params, inner, orientation):
+        element_type, cur, tris, new = (self.element_type, self.cur,
+                                        self.tris, self.new)
+        n = points.shape[0]
+        p, gather = self.elements, tris.reshape(-1, n)
+        closed = element_type in _CLOSED_SURFACES
+        if element_type is ElementType.HEX:
+            np.copyto(cur, hex_face_barycenters(points).T)
         else:
-            tris = rescale_areas(tris, new)
-    if not closed:
-        return np.ascontiguousarray(average_images(tris).T)
+            np.copyto(cur, points.T)
+        np.take(cur.reshape(-1, n), self.faces, axis=0, out=gather,
+                mode="clip")
+        tris_rows, new_rows, work_rows = self.rows
+        for _ in range(inner):
+            transform_triangles(tris_rows, params, new_rows, work_rows)
+            if closed:
+                _take_mean(new.reshape(-1, n), self.images, cur, tris)
+                np.take(cur.reshape(-1, n), self.faces, axis=0, out=gather,
+                        mode="clip")
+            else:
+                rescale_areas(tris_rows, new_rows, tris_rows, work_rows)
+        if not closed:
+            _take_mean(gather, self.images, cur, new)
+            np.copyto(self.out, cur.T)
+            return self.out
 
-    cur = np.ascontiguousarray(cur.T)
-    if hexes:
-        cur = octahedron_to_hex(cur)
-    volumes = _orientation(cur, element_type).sum(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.cbrt(np.abs(orientation.sum(axis=-1) / volumes))
-    c = cur.mean(axis=1, keepdims=True)
-    return factor[:, None, None] * (cur - c) + c
+        if element_type is ElementType.HEX:
+            _take_mean(cur.reshape(-1, n), self.octahedron, p, tris)
+        np.copyto(self.out, p.T)
+        volumes = _orientation(self.out, element_type).sum(axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            factor = np.cbrt(np.abs(orientation.sum(axis=-1) / volumes))
+        c = _mean(p.swapaxes(0, 1), self.work[0, :, :n])
+        for i in range(p.shape[1]):
+            np.subtract(p[:, i], c, out=p[:, i])
+        np.multiply(p, factor, out=p)
+        for i in range(p.shape[1]):
+            np.add(p[:, i], c, out=p[:, i])
+        np.copyto(self.out, p.T)
+        return self.out
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +340,11 @@ def _getme_steps(mesh, cfg):
     counts = np.maximum(counts, 1)[:, None]
     points = verts[elems]
     orientation = _orientation(points, element_type)
+    transform = _Transform(element_type, points.shape)
 
     while True:
         guarded = ~(orientation <= 0) & guard_on
-        new = _transform(points, element_type, cfg.params, inner, orientation)
+        new = transform(points, cfg.params, inner, orientation)
 
         # Non-finite images are already bad, and every measure is taken row
         # by row, so the guard can measure `new` as it is.

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import getme
 from getme import (
     GeneratorSpec,
     Mesh,
@@ -100,6 +105,36 @@ def test_smooth_pins_the_detected_boundary_of_a_file_without_flags(
     assert not np.array_equal(out.vertices, mesh.vertices)
     assert "no boundary flags" in capsys.readouterr().err
     assert not read_mesh(m).boundary_given
+
+
+@pytest.mark.parametrize("suffix", [".mesh", ".vtk"])
+def test_smooth_exits_2_on_a_non_manifold_file(tmp_path, capsys, suffix):
+    # three triangles on the edge (0, 1), without boundary flags: the input
+    # file is at fault, as with a parse error
+    m, s = tmp_path / f"in{suffix}", tmp_path / f"out{suffix}"
+    write_mesh(Mesh([[0, 0], [1, 0], [0, 1], [1, 1], [0.5, -1]],
+                    [[0, 1, 2], [1, 0, 3], [0, 1, 4]], "triangle"), m)
+    if suffix == ".vtk":
+        m.write_text(m.read_text().split("POINT_DATA")[0])
+    assert not read_mesh(m).boundary_given
+    assert run(["smooth", "--in", str(m), "--smoother", "getme",
+                "--out", str(s)]) == 2
+    assert "facet (0, 1) is shared by 3 elements" in capsys.readouterr().err
+    assert not s.exists()
+
+
+@pytest.mark.parametrize("module", ["getme", "getme.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    out = tmp_path / "x.mesh"
+    src = str(Path(getme.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", module, "generate", "--kind",
+         "jittered-square-tri", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert read_mesh(out).element_type.value == "triangle"
 
 
 def test_smooth_says_when_the_flags_pin_every_vertex(tmp_path, capsys):

@@ -14,6 +14,8 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from getme import (
+    STANDARD_PARAMS,
+    AdaptiveParams,
     ElementType,
     GeneratorSpec,
     Mesh,
@@ -27,9 +29,19 @@ from getme import (
 )
 from getme.cli import run
 from getme.io import read_medit, read_vtk, write_medit, write_vtk
-from getme.smoothing import _iterate, _orientation
+from getme.smoothing import (
+    ADAPTIVE_PRESETS,
+    _iterate,
+    _orientation,
+    _Transform,
+)
 from test_cli import strict_json
-from test_smoothing import reference_laplace_steps
+from test_smoothing import (
+    layout_cases,
+    nan_canonical_bytes,
+    reference_laplace_steps,
+    reference_transform,
+)
 
 GENERATED_KINDS = ("jittered-square-tri", "disk-tri", "quad-grid-with-hole",
                    "cube-tet", "cube-hex")
@@ -219,3 +231,45 @@ def test_quality_is_one_on_regular_elements_under_rigid_motion_and_scaling(
     moved = np.ldexp(points @ rotation.T + rng.uniform(-5.0, 5.0, dim),
                      exponent)
     assert abs(element_qualities(moved[None], etype)[0] - 1.0) <= 1e-12
+
+
+def transform_input(kind, resolution, jitter, seed, special):
+    """Element points of a generated mesh, its first rows replaced by the
+    special rows of `layout_cases` (-0.0 facets, a flat element) if
+    `special`, with their type and measures."""
+    mesh = generate(GeneratorSpec(kind, resolution, jitter, seed))
+    etype, points = mesh.element_type, mesh.element_points()
+    if special:
+        rows = layout_cases(etype)["mesh"][-3:]
+        points[:len(rows)] = rows[:len(points)]
+    with np.errstate(all="ignore"):
+        return etype, points, _orientation(points, etype)
+
+
+# One workspace runs two inputs of one shape in a row: the second result
+# must not depend on the first.
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(kind=st.sampled_from(GENERATED_KINDS),
+       resolution=st.integers(2, 4),
+       draws=st.lists(st.tuples(st.floats(0.0, 0.45), st.integers(0, 2**16),
+                                st.booleans(), st.booleans(),
+                                st.sampled_from([1, None])),
+                      min_size=2, max_size=2))
+def test_a_transform_workspace_keeps_no_state_between_calls(
+        kind, resolution, draws):
+    transform = None
+    for jitter, seed, special, adaptive, inner in draws:
+        etype, points, orientation = transform_input(kind, resolution, jitter,
+                                                     seed, special)
+        params = (AdaptiveParams(*ADAPTIVE_PRESETS[etype]) if adaptive
+                  else STANDARD_PARAMS)
+        inner = inner or SmootherConfig().inner_for(etype)
+        transform = transform or _Transform(etype, points.shape)
+        with np.errstate(all="ignore"):
+            got = transform(points, params, inner, orientation)
+            fresh = _Transform(etype, points.shape)(points, params, inner,
+                                                    orientation)
+            want = reference_transform(points, etype, params, inner,
+                                       orientation)
+        assert nan_canonical_bytes(got) == nan_canonical_bytes(fresh)
+        assert nan_canonical_bytes(got) == nan_canonical_bytes(want)

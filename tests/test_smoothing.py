@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from getme import (
+    STANDARD_PARAMS,
     AdaptiveParams,
     ElementType,
     GeneratorSpec,
@@ -41,7 +43,7 @@ from getme.smoothing import (
     GUARD_RESET,
     _iterate,
     _orientation,
-    _transform,
+    _Transform,
     _vertex_sums,
 )
 
@@ -699,7 +701,7 @@ def test_adaptive_smoothing_independent_of_element_row_start():
 
 
 # ---------------------------------------------------------------------------
-# The element-fastest layout of `_transform` against the element-major one
+# The slot-slab layout of `_Transform` against the element-major one
 # ---------------------------------------------------------------------------
 
 
@@ -721,8 +723,8 @@ def reference_transform_triangles(tris, params):
 
 
 def reference_transform(points, element_type, params, inner, orientation):
-    """`_transform` on element-major (rows, 3, dim) C arrays, with images
-    at flat (triangle, slot) positions: the bits the element-fastest layout
+    """`_Transform` on element-major (rows, 3, dim) C arrays, with images
+    at flat (triangle, slot) positions: the bits the slot-slab layout
     must reproduce."""
     faces = ELEMENT_TRIANGLES[element_type]
     slots = np.argsort(faces.ravel(), kind="stable").reshape(
@@ -753,6 +755,12 @@ def reference_transform(points, element_type, params, inner, orientation):
         factor = np.cbrt(np.abs(orientation.sum(axis=-1) / volumes))
     c = cur.mean(axis=1, keepdims=True)
     return factor[:, None, None] * (cur - c) + c
+
+
+def reference_workspace(element_type, shape):
+    """A stand-in for `_Transform` that calls `reference_transform`."""
+    return lambda points, params, inner, orientation: reference_transform(
+        points, element_type, params, inner, orientation)
 
 
 def nan_canonical_bytes(a):
@@ -804,7 +812,8 @@ def test_transform_matches_element_major_reference(etype, gains, inner):
     for name, points in layout_cases(etype).items():
         with np.errstate(all="ignore"):
             orientation = _orientation(points, etype)
-            got = _transform(points, etype, params, inner, orientation)
+            got = _Transform(etype, points.shape)(points, params, inner,
+                                                  orientation)
             want = reference_transform(points, etype, params, inner,
                                        orientation)
         assert got.shape == want.shape, name
@@ -823,7 +832,7 @@ def test_smooth_matches_element_major_reference(monkeypatch, etype, preset,
     cfg = (adaptive_config(etype, guard=guard) if preset == "adaptive"
            else SmootherConfig(guard=guard))
     got = smooth(mesh, cfg)
-    monkeypatch.setattr(smoothing, "_transform", reference_transform)
+    monkeypatch.setattr(smoothing, "_Transform", reference_workspace)
     want = smooth(mesh, cfg)
     assert got.mesh.vertices.tobytes() == want.mesh.vertices.tobytes()
     assert got.iterations_run == want.iterations_run
@@ -886,3 +895,26 @@ def test_smooth_matches_lapack_det_reference(monkeypatch, name, preset):
         assert got.mesh.vertices.tobytes() != want.mesh.vertices.tobytes()
         assert np.abs(got.mesh.vertices - want.mesh.vertices).max() <= 1e-12
         assert abs(got.report.mean - want.report.mean) <= 1e-12
+
+
+#: The most a second call of one `_Transform` may allocate, in bytes of its
+#: element points, on every type: its buffers come from the workspace.
+TRANSFORM_PEAK_BOUND = 8
+
+
+@pytest.mark.parametrize("name", list(DESK_MESHES))
+def test_a_transform_workspace_allocates_little(name):
+    kind, res, jitter = DESK_MESHES[name]
+    mesh = generate(GeneratorSpec(kind, res, jitter, 7))
+    etype, points = mesh.element_type, mesh.element_points()
+    orientation = _orientation(points, etype)
+    inner = SmootherConfig().inner_for(etype)
+    transform = _Transform(etype, points.shape)
+    transform(points, STANDARD_PARAMS, inner, orientation)
+    tracemalloc.start()   # it sees numpy's buffers
+    try:
+        transform(points, STANDARD_PARAMS, inner, orientation)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < TRANSFORM_PEAK_BOUND * points.nbytes

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import GetmeError, InvalidTopology, ParseError
 from .generators import KINDS, GeneratorSpec, generate
 from .geometry import AdaptiveParams
-from .io import FORMATS, read_mesh, write_mesh
+from .io import FORMATS, _codec, read_mesh, write_mesh
 from .mesh import Mesh, detect_boundary, validate
 from .oscillator import (
     compare_discrete_continuous,
@@ -134,6 +134,7 @@ def _write_report(report, path):
 
 
 def _cmd_smooth(args):
+    _codec(args.outfile, args.format)   # an unusable --out fails first
     mesh = read_mesh(args.infile, args.format)
     if not mesh.boundary_given:
         mesh = Mesh(mesh.vertices, mesh.elements, mesh.element_type,
@@ -173,6 +174,7 @@ def _cmd_quality(args):
 
 
 def _cmd_generate(args):
+    _codec(args.outfile, args.format)
     spec = GeneratorSpec(args.kind, resolution=args.resolution,
                          jitter=args.jitter, seed=args.seed)
     mesh = generate(spec)

@@ -113,8 +113,6 @@ def _slabs(points):
     """The slab view (rows, dim, ...) of (..., rows, dim) points, given a
     batch axis of one if they have none."""
     t = np.asarray(points, dtype=float)
-    if t.ndim == 3:
-        return t.transpose(1, 2, 0)
     t = t if t.ndim > 2 else t[None]
     return t.transpose((-2, -1) + tuple(range(t.ndim - 2)))
 
@@ -147,10 +145,7 @@ def transform_triangles(tris, params=STANDARD_PARAMS, out=None, work=None):
     out, o, w = _buffers(tris, out, work)
     d, (d0, d1, d2, c, m), (o0, o1, o2) = w[:3], w, o
     _mean(g, c)
-    # Slot by slot, unrolled: a broadcast over the slot axis would buffer.
-    np.subtract(g[0], c, out=d0)
-    np.subtract(g[1], c, out=d1)
-    np.subtract(g[2], c, out=d2)
+    np.subtract(g, c, out=d)
     # The radii and their ratios live in `o` until the images are written.
     radii, ratios = o[:, 0], o[:, 1]
     np.multiply(d, d, out=o)
@@ -175,17 +170,11 @@ def transform_triangles(tris, params=STANDARD_PARAMS, out=None, work=None):
             np.subtract(d2, d0, out=o1)
             np.subtract(d0, d1, out=o2)
             np.multiply(o, k, out=o)
-            np.subtract(d0, m, out=d0)
-            np.subtract(d1, m, out=d1)
-            np.subtract(d2, m, out=d2)
+            np.subtract(d, m, out=d)
             np.add(d, o, out=o)
         else:
-            np.subtract(d0, m, out=o0)
-            np.subtract(d1, m, out=o1)
-            np.subtract(d2, m, out=o2)
-    np.add(o0, c, out=o0)
-    np.add(o1, c, out=o1)
-    np.add(o2, c, out=o2)
+            np.subtract(d, m, out=o)
+    np.add(o, c, out=o)
     return out
 
 
@@ -247,16 +236,10 @@ def rescale_areas(tris_orig, tris_new, out=None, work=None):
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(factor, a_new, out=factor)
         np.sqrt(factor, out=factor)
-    h0, h1, h2 = h
-    o0, o1, o2 = o
     _mean(h, c)
-    np.subtract(h0, c, out=o0)
-    np.subtract(h1, c, out=o1)
-    np.subtract(h2, c, out=o2)
+    np.subtract(h, c, out=o)
     np.multiply(o, factor, out=o)
-    np.add(o0, c, out=o0)
-    np.add(o1, c, out=o1)
-    np.add(o2, c, out=o2)
+    np.add(o, c, out=o)
     return out
 
 

@@ -248,12 +248,10 @@ class _Transform:
         volumes = _orientation(self.out, element_type).sum(axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
             factor = np.cbrt(np.abs(orientation.sum(axis=-1) / volumes))
-        c = _mean(p.swapaxes(0, 1), self.work[0, :, :n])
-        for i in range(p.shape[1]):
-            np.subtract(p[:, i], c, out=p[:, i])
+        c = _mean(p.swapaxes(0, 1), self.work[0, :, :n])[:, None]
+        np.subtract(p, c, out=p)
         np.multiply(p, factor, out=p)
-        for i in range(p.shape[1]):
-            np.add(p[:, i], c, out=p[:, i])
+        np.add(p, c, out=p)
         np.copyto(self.out, p.T)
         return self.out
 

@@ -265,6 +265,46 @@ def test_io_errors_exit_2(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def refuse(monkeypatch, *names):
+    """Rebind the `getme.cli` functions `names` to record their calls and
+    raise; returns the list of calls."""
+    calls = []
+
+    def called(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"cli.{name} was called")
+        return call
+
+    for name in names:
+        monkeypatch.setattr(getme.cli, name, called(name))
+    return calls
+
+
+def test_smooth_refuses_an_unusable_out_before_reading(tmp_path, capsys,
+                                                      monkeypatch):
+    m, out = tmp_path / "t.mesh", tmp_path / "t.txt"
+    write_mesh(generate(GeneratorSpec("jittered-square-tri", 4)), m)
+    calls = refuse(monkeypatch, "read_mesh", "smooth")
+    assert run(["smooth", "--in", str(m), "--out", str(out),
+                "--smoother", "getme"]) == 2
+    assert "cannot infer mesh format from extension '.txt'" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+    assert calls == []
+
+
+def test_generate_refuses_an_unusable_out_before_generating(
+        tmp_path, capsys, monkeypatch):
+    out = tmp_path / "t.txt"
+    calls = refuse(monkeypatch, "generate")
+    assert run(["generate", "--kind", "disk-tri", "--out", str(out)]) == 2
+    assert "cannot infer mesh format from extension '.txt'" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+    assert calls == []
+
+
 def test_smoother_flags_forwarded(tmp_path):
     m = tmp_path / "m.mesh"
     s1 = tmp_path / "s1.mesh"

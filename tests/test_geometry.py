@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -294,3 +295,33 @@ def test_kernels_give_the_same_bytes_on_every_layout(dim, params):
     assert len(got) == 1
     assert np.isnan(new[2]).all()
     assert np.isfinite(np.delete(new, 2, axis=0)).all()
+
+
+#: The most one transform-and-rescale pass on caller buffers may allocate,
+#: in bytes, at any batch size: numpy's fixed-size ufunc buffers.
+KERNEL_PEAK_BOUND = 64 * 1024
+
+
+@pytest.mark.parametrize("params", [STANDARD_PARAMS, AdaptiveParams(0.1, 0.15)])
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("rows", [300, 3_000, 30_000])
+def test_kernels_on_caller_buffers_allocate_no_more_with_the_batch(
+        rows, dim, params):
+    # the (rows, 3, dim) views of (3, dim, rows) C arrays, as the smoother's
+    # workspace passes them
+    tris = np.random.default_rng(rows + dim).uniform(-1.0, 1.0, (3, dim, rows))
+    new, work = np.empty_like(tris), np.empty((5, dim, rows))
+    t, n, w = (a.transpose(2, 0, 1) for a in (tris, new, work))
+
+    def one_pass():
+        transform_triangles(t, params, n, w)
+        rescale_areas(t, n, t, w)
+
+    one_pass()
+    tracemalloc.start()   # it sees numpy's buffers
+    try:
+        one_pass()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < KERNEL_PEAK_BOUND

@@ -6,10 +6,12 @@ draws the same examples and the suite stays quick.
 
 import io
 import math
+import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -19,15 +21,18 @@ from getme import (
     ElementType,
     GeneratorSpec,
     Mesh,
+    ParseError,
     SmootherConfig,
+    adaptive_config,
     element_qualities,
     generate,
+    read_mesh,
     smart_laplace,
     smooth,
     validate,
     write_mesh,
 )
-from getme.cli import run
+from getme.cli import SMOOTHERS, run
 from getme.io import read_medit, read_vtk, write_medit, write_vtk
 from getme.smoothing import (
     ADAPTIVE_PRESETS,
@@ -273,3 +278,111 @@ def test_a_transform_workspace_keeps_no_state_between_calls(
                                        orientation)
         assert nan_canonical_bytes(got) == nan_canonical_bytes(fresh)
         assert nan_canonical_bytes(got) == nan_canonical_bytes(want)
+
+
+#: Floats that are not positive and finite: rejected gains and error bounds.
+REJECTED = st.one_of(st.floats(max_value=0.0), st.just(math.nan),
+                     st.just(math.inf))
+POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
+
+
+@st.composite
+def rejected_settings(draw):
+    """A rejected `getme smooth` setting: its case, its flags, and the
+    keywords of the SmootherConfig the library gets for it, with the gains
+    as a pair, or None for a flag combination the library has no call
+    for."""
+    case = draw(st.sampled_from(["inner", "max-iter", "error-bound", "gain",
+                                 "alpha2", "lone alpha0"]))
+    if case in ("inner", "max-iter"):
+        value = draw(st.integers(max_value=0))
+        key = "inner_iterations" if case == "inner" else "max_iterations"
+        return case, [f"--{case}={value}"], {key: value}
+    if case == "error-bound":
+        value = draw(REJECTED)
+        return case, [f"--error-bound={value!r}"], {"error_bound": value}
+    if case == "lone alpha0":
+        return case, [f"--alpha0={draw(POSITIVE)!r}"], None
+    if case == "gain":
+        gains = draw(st.sampled_from([(REJECTED, POSITIVE),
+                                      (POSITIVE, REJECTED),
+                                      (REJECTED, REJECTED)]))
+        alpha0, alpha1 = (draw(g) for g in gains)
+    else:   # alpha1 >= 2 alpha0, so alpha2 <= 0
+        alpha0 = draw(POSITIVE)
+        alpha1 = 2.0 * alpha0 * draw(st.floats(1.0, 1e6))
+    return (case, [f"--alpha0={alpha0!r}", f"--alpha1={alpha1!r}"],
+            {"params": (alpha0, alpha1)})
+
+
+# The one exception: SmartLaplace ignores the gains, so a pair that only
+# makes alpha2 <= 0 (say --alpha0 1 --alpha1 2) smooths and exits 0 there.
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(kind=st.sampled_from(GENERATED_KINDS),
+       smoother=st.sampled_from(SMOOTHERS),
+       setting=rejected_settings())
+def test_rejected_smoothing_settings_exit_1_and_raise_value_error(
+        kind, smoother, setting):
+    case, flags, keywords = setting
+    mesh = generate(GeneratorSpec(kind, 2))
+    ignored = smoother == "smart-laplace" and case == "alpha2"
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp, "in.mesh"), Path(tmp, "out.mesh")
+        write_mesh(mesh, src)
+        code = run(["smooth", "--in", str(src), "--out", str(out),
+                    "--smoother", smoother] + flags)
+        assert code == (0 if ignored else 1), flags
+        assert out.exists() == ignored
+    if keywords is None or ignored:
+        return
+    with pytest.raises(ValueError):
+        if "params" in keywords:
+            keywords = dict(keywords,
+                            params=AdaptiveParams(*keywords["params"]))
+        if smoother == "smart-laplace":
+            smart_laplace(mesh, SmootherConfig(**keywords))
+        elif smoother == "getme-adaptive":
+            smooth(mesh, adaptive_config(mesh.element_type, **keywords))
+        else:
+            smooth(mesh, SmootherConfig(**keywords))
+
+
+JUNK = ["nan", "1e999", "-1", "99999999", "End", ""]
+
+
+@st.composite
+def mutated(draw, text):
+    """`text` truncated at an offset, with a line replaced or deleted, or
+    with one whitespace-separated token replaced by junk (an empty line for
+    "")."""
+    how = draw(st.sampled_from(["truncate", "line", "delete", "token"]))
+    if how == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if how == "token":
+        token = draw(st.sampled_from(list(re.finditer(r"\S+", text))))
+        junk = draw(st.sampled_from(JUNK)) or "\n"
+        return text[:token.start()] + junk + text[token.end():]
+    lines = text.splitlines(keepends=True)
+    i = draw(st.integers(0, len(lines) - 1))
+    lines[i] = draw(st.sampled_from(JUNK)) + "\n" if how == "line" else ""
+    return "".join(lines)
+
+
+# every mutation either still reads as a mesh or is a ParseError (its
+# subclasses included), and `getme quality` exits 2 exactly when it is
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(kind=st.sampled_from(GENERATED_KINDS),
+       suffix=st.sampled_from([".mesh", ".vtk"]), data=st.data())
+def test_malformed_files_raise_parse_error_and_exit_2(kind, suffix, data):
+    mesh = generate(GeneratorSpec(kind, 2))
+    buf = io.StringIO()
+    (write_medit if suffix == ".mesh" else write_vtk)(mesh, buf)
+    text = data.draw(mutated(buf.getvalue()))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "in" + suffix)
+        path.write_text(text, encoding="ascii")
+        try:
+            read = isinstance(read_mesh(path), Mesh)
+        except ParseError:
+            read = False
+        assert run(["quality", "--in", str(path)]) == (0 if read else 2)

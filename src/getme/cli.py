@@ -109,22 +109,21 @@ def _build_parser():
     return parser
 
 
-def _smoother_config(args, element_type):
-    overrides = dict(
-        max_iterations=args.max_iter,
-        error_bound=args.error_bound,
-        guard=args.guard,
-    )
+def _smoother_overrides(args):
+    """`getme smooth`'s SmootherConfig keywords, checked before the input is
+    read; only the adaptive preset waits for the element type."""
+    overrides = dict(max_iterations=args.max_iter,
+                     error_bound=args.error_bound, guard=args.guard)
     if args.inner is not None:
         overrides["inner_iterations"] = args.inner
     if (args.alpha0 is None) != (args.alpha1 is None):
         raise GetmeError("--alpha0 and --alpha1 must be given together")
     if args.alpha0 is not None:
         overrides["params"] = AdaptiveParams(args.alpha0, args.alpha1)
-        return SmootherConfig(**overrides)
-    if args.smoother == "getme-adaptive":
-        return adaptive_config(element_type, **overrides)
-    return SmootherConfig(**overrides)
+    cfg = SmootherConfig(**overrides)
+    if args.smoother != "smart-laplace":   # SmartLaplace ignores the gains
+        cfg.params.require_transform_valid()
+    return overrides
 
 
 def _write_report(report, path):
@@ -135,6 +134,7 @@ def _write_report(report, path):
 
 def _cmd_smooth(args):
     _codec(args.outfile, args.format)   # an unusable --out fails first
+    overrides = _smoother_overrides(args)
     mesh = read_mesh(args.infile, args.format)
     if not mesh.boundary_given:
         mesh = Mesh(mesh.vertices, mesh.elements, mesh.element_type,
@@ -144,11 +144,12 @@ def _cmd_smooth(args):
               file=sys.stderr)
     if mesh.boundary_mask.all():
         print("note: every vertex is pinned, so none moves", file=sys.stderr)
-    cfg = _smoother_config(args, mesh.element_type)
     if args.smoother == "smart-laplace":
-        result = smart_laplace(mesh, cfg)
+        result = smart_laplace(mesh, SmootherConfig(**overrides))
+    elif args.smoother == "getme-adaptive":
+        result = smooth(mesh, adaptive_config(mesh.element_type, **overrides))
     else:
-        result = smooth(mesh, cfg)
+        result = smooth(mesh, SmootherConfig(**overrides))
     write_mesh(result.mesh, args.outfile, args.format)
     _write_report(result.report, args.report)
     print(

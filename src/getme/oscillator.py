@@ -16,7 +16,6 @@ import numpy as np
 from .geometry import (
     AdaptiveParams,
     STANDARD_PARAMS,
-    centroids,
     iterate_triangle,
     vertex_radii,
 )

@@ -374,62 +374,62 @@ def smart_laplace(mesh, cfg=SmootherConfig()):
     is not finite or if it inverts a guarded corner of an incident element,
     and an inverted corner may be repaired.  Each sweep is a Gauss-Seidel
     sweep on the current positions, one colour of a greedy vertex colouring
-    at a time (`_laplace_waves`), which keeps runs bit-reproducible.  No two
+    at a time (`_colours`), which keeps runs bit-reproducible.  No two
     vertices of a colour share an element, so moving a whole colour at once
     gives the bits of a per-vertex numpy loop in (colour, index) order.
     """
     return _iterate(mesh, cfg, _laplace_steps(mesh))
 
 
-def _laplace_waves(mesh):
-    """The movable vertices as (vertex, sorted neighbors, incident elements),
-    grouped by colour: {colour: [...]} in ascending colour and vertex order.
-
-    The colouring is greedy in index order: a vertex takes the lowest colour
-    that none of its incident elements holds yet, so no two vertices of a
-    colour share an element.  A colour first appears once every lower one
-    has, so the dict's insertion order is the ascending colour order.
-    """
-    neighbors, nb_at = (a.tolist() for a in _edge_neighbors(mesh))
-    incident, inc_at = (a.tolist() for a in _incident_elements(mesh))
+def _colours(mesh, nb_at, incident):
+    """Per vertex, the colour SmartLaplace moves it in, or -1 if it is pinned
+    or has no edge neighbour (`nb_at`): in index order, the lowest colour no
+    `incident` element holds yet, so no two vertices of a colour share one."""
+    elements, at = (a.tolist() for a in incident)
     held = [0] * len(mesh.elements)   # bitmask of the colours in each element
-    waves = {}
-    for v in np.flatnonzero(~mesh.boundary_mask).tolist():
-        if nb_at[v + 1] == nb_at[v]:
-            continue
-        inc = incident[inc_at[v]:inc_at[v + 1]]
+    colours = [-1] * len(mesh.vertices)
+    movable = ~mesh.boundary_mask & (np.diff(nb_at) > 0)
+    for v in np.flatnonzero(movable).tolist():
         taken = 0
-        for e in inc:
-            taken |= held[e]
+        for i in range(at[v], at[v + 1]):
+            taken |= held[elements[i]]
         bit = ~taken & (taken + 1)   # the lowest colour not taken
-        for e in inc:
-            held[e] |= bit
-        waves.setdefault(bit.bit_length() - 1, []).append(
-            (v, neighbors[nb_at[v]:nb_at[v + 1]], inc))
-    return waves
+        for i in range(at[v], at[v + 1]):
+            held[elements[i]] |= bit
+        colours[v] = bit.bit_length() - 1
+    return np.array(colours)
+
+
+def _padded_runs(values, offsets, keys, pad):
+    """The runs of `keys` in a `_group`'s (values, offsets) as the columns of a
+    (longest run, len(keys)) table padded with `pad`."""
+    starts, lengths = offsets[keys], offsets[keys + 1] - offsets[keys]
+    rank = np.arange(lengths.max())[:, None]
+    return np.where(rank < lengths, values.take(starts + rank, mode="clip"),
+                    pad)
 
 
 def _laplace_steps(mesh):
-    """SmartLaplace sweeps, one colour of `_laplace_waves` at a time, each
-    through `_accept` with the elements it touches; `old` follows `work`
-    one colour at a time.  The neighbor sums run over a gather padded with
-    a -0.0 row, since x + -0.0 == x for every x, -0.0 included."""
+    """SmartLaplace sweeps, one colour of `_colours` at a time, each through
+    `_accept` with the elements it touches; `old` follows `work` one colour
+    at a time.  A colour's plan is cut from `_group`'s arrays: its vertices,
+    their incident elements in vertex order, and their neighbours padded
+    with a -0.0 row, since x + -0.0 == x for every x, -0.0 included."""
     etype, elems = mesh.element_type, mesh.elements
     n = len(mesh.vertices)
     work = np.vstack([mesh.vertices, np.full((1, mesh.dimension), -0.0)])
     old = work.copy()
     guarded = ~(_orientation(work[elems], etype) <= 0)
+    neighbors, nb_at = _edge_neighbors(mesh)
+    incident = _incident_elements(mesh)
+    colours = _colours(mesh, nb_at, incident)
     plan = []
-    for wave in _laplace_waves(mesh).values():
-        vids, nbs, incs = zip(*wave)
-        k = max(map(len, nbs))
-        inc = np.concatenate(incs)
-        plan.append((
-            np.array(vids),
-            np.array([nb + [n] * (k - len(nb)) for nb in nbs]).T,
-            np.array([[len(nb)] for nb in nbs], dtype=float),
-            inc, elems[inc],
-        ))
+    for colour in range(colours.max() + 1):
+        vids = np.flatnonzero(colours == colour)
+        runs = _padded_runs(*incident, vids, -1).T
+        inc = runs[runs >= 0]
+        plan.append((vids, _padded_runs(neighbors, nb_at, vids, n),
+                     np.diff(nb_at)[vids, None], inc, elems[inc]))
     while True:
         rejected = 0
         for vids, nbs, counts, inc, conn in plan:

@@ -4,6 +4,7 @@ The profile is derandomized with a fixed example count, so every run
 draws the same examples and the suite stays quick.
 """
 
+import contextlib
 import io
 import math
 import re
@@ -40,7 +41,7 @@ from getme.smoothing import (
     _orientation,
     _Transform,
 )
-from test_cli import strict_json
+from test_cli import refuse, strict_json
 from test_smoothing import (
     layout_cases,
     nan_canonical_bytes,
@@ -345,6 +346,57 @@ def test_rejected_smoothing_settings_exit_1_and_raise_value_error(
             smooth(mesh, adaptive_config(mesh.element_type, **keywords))
         else:
             smooth(mesh, SmootherConfig(**keywords))
+
+
+# The reader, rebound to raise an error `run` does not catch, shows that
+# every rejected setting fails before the input is read.
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(smoother=st.sampled_from(SMOOTHERS), setting=rejected_settings())
+def test_rejected_smoothing_settings_exit_1_before_reading_the_input(
+        smoother, setting):
+    case, flags, _ = setting
+    assume(not (smoother == "smart-laplace" and case == "alpha2"))
+    err = io.StringIO()
+    with (tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context()
+          as patch, contextlib.redirect_stderr(err)):
+        calls = refuse(patch, "read_mesh")
+        out = Path(tmp, "out.mesh")
+        code = run(["smooth", "--in", str(Path(tmp, "in.mesh")),
+                    "--out", str(out), "--smoother", smoother] + flags)
+        assert not out.exists()
+    assert (code, calls) == (1, []), flags
+    assert err.getvalue().startswith("error: ")
+
+
+SCALED_SMOOTHERS = {
+    "standard": smooth,
+    "adaptive": lambda mesh: smooth(mesh, adaptive_config(mesh.element_type)),
+    "smart-laplace": smart_laplace,
+}
+
+
+# Scaling by 2**k changes no bit of a ratio, a square root or a cube root of
+# the measures while nothing overflows or underflows, so on these meshes
+# both smoothers commute with it for |k| <= 100.
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(kind=st.sampled_from(GENERATED_KINDS),
+       resolution=st.integers(2, 5),
+       jitter=st.floats(0.0, 0.45),
+       seed=st.integers(0, 2**16),
+       k=st.integers(-100, 100),
+       smoother=st.sampled_from(list(SCALED_SMOOTHERS)))
+def test_smoothers_commute_with_scaling_by_a_power_of_two(
+        kind, resolution, jitter, seed, k, smoother):
+    mesh = generate(GeneratorSpec(kind, resolution, jitter, seed))
+    scaled = mesh.with_vertices(np.ldexp(mesh.vertices, k))
+    want, got = (SCALED_SMOOTHERS[smoother](m) for m in (mesh, scaled))
+    assert (np.ldexp(got.mesh.vertices, -k).tobytes()
+            == want.mesh.vertices.tobytes())
+    assert got.iterations_run == want.iterations_run
+    assert got.guard_resets == want.guard_resets
+    assert got.report.iteration_trace == want.report.iteration_trace
+    assert (got.report.per_element.tobytes()
+            == want.report.per_element.tobytes())
 
 
 JUNK = ["nan", "1e999", "-1", "99999999", "End", ""]

@@ -573,14 +573,17 @@ def test_smart_laplace_matches_numpy_reference(name):
                                   "unused-vertex"])
 def test_laplace_waves_are_a_proper_colouring(name):
     mesh = LAPLACE_REFERENCE_MESHES[name]()
-    waves = smoothing._laplace_waves(mesh)
-    assert list(waves) == list(range(len(waves)))
-    for wave in waves.values():
+    incident = _incident_elements(mesh)
+    colours = smoothing._colours(mesh, _edge_neighbors(mesh)[1], incident)
+    moved = colours[colours >= 0]
+    assert set(moved.tolist()) == set(range(moved.max() + 1))
+    waves = [np.flatnonzero(colours == c) for c in range(moved.max() + 1)]
+    elements = per_vertex(incident)
+    for wave in waves:
         # no two vertices of a wave share an element
-        elements = [e for _, _, incident in wave for e in incident]
-        assert len(elements) == len(set(elements))
-    assert ([[v for v, _, _ in wave] for wave in waves.values()]
-            == reference_colours(mesh))
+        touched = np.concatenate([elements[v] for v in wave])
+        assert len(touched) == len(set(touched.tolist()))
+    assert [wave.tolist() for wave in waves] == reference_colours(mesh)
 
 
 def test_smart_laplace_rejects_every_move_on_non_finite_measures():

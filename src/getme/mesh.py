@@ -9,7 +9,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import InvalidMesh, InvalidTopology
-from .geometry import EPS_DEGENERATE, HEX_CORNER_TETS, HEX_FACES, corner_edges
+from .geometry import EPS_DEGENERATE, HEX_CORNER_TETS, HEX_FACES, _corner_slabs
 
 
 class ElementType(enum.Enum):
@@ -115,8 +115,9 @@ class Mesh:
         return moved
 
     def element_points(self):
-        """Vertex coordinates per element, shape (n, k, dim)."""
-        return self.vertices[self.elements]
+        """Vertex coordinates per element, shape (n, k, dim), laid out as
+        `_element_slabs`."""
+        return _element_slabs(self.vertices, self.elements)
 
     def __eq__(self, other):
         if not isinstance(other, Mesh):
@@ -128,6 +129,13 @@ class Mesh:
             and np.array_equal(self.elements, other.elements)
             and np.array_equal(self.boundary_mask, other.boundary_mask)
         )
+
+
+def _element_slabs(verts, conn):
+    """The points of the elements `conn`, shape (n, k, dim), as the view of
+    a (dim, k, n) C array: one take of the vertex columns, from whose slabs
+    the corner measures take their rows without a copy."""
+    return np.take(verts.T, conn.T, axis=1).T
 
 
 def _is_integer(value):
@@ -249,13 +257,17 @@ def element_signed_measures(points, element_type):
     corners), positive on a valid corner; a bilinear quad (so a non-convex
     one) or a trilinear hex is invalid if one corner is.  3D triangles have
     no orientation and raise InvalidMesh, which is how `validate` and both
-    smoothers refuse them."""
+    smoothers refuse them.  The result is the transpose of a (corners, n)
+    C array, since a sum over the corners rounds by the layout."""
     element_type = ElementType(element_type)
     points = np.asarray(points, dtype=float)
     if element_type is ElementType.TRIANGLE and points.shape[-1] != 2:
         raise InvalidMesh("3D triangle meshes have no orientation, and nothing"
                           " projects a moved vertex back onto the surface")
-    return dets(corner_edges(points, CORNERS[element_type]))
+    edges, vertices = _corner_slabs(points, CORNERS[element_type])
+    np.subtract(edges, vertices[:, :, None], out=edges)
+    # rows: the neighbours; columns: the coordinates; each a (corners, n) block
+    return dets(edges.transpose(1, *range(3, edges.ndim), 2, 0)).T
 
 
 def hex_corner_dets(points):
@@ -271,6 +283,8 @@ def validate(mesh):
     if not len(mesh.elements):
         return []
     points = mesh.element_points()
-    measures = element_signed_measures(points, mesh.element_type).min(axis=-1)
-    threshold = EPS_DEGENERATE * _element_scales(points) ** mesh.dimension
+    with np.errstate(over="ignore", invalid="ignore"):   # overflow is NaN
+        measures = element_signed_measures(points,
+                                           mesh.element_type).min(axis=-1)
+        threshold = EPS_DEGENERATE * _element_scales(points) ** mesh.dimension
     return np.flatnonzero(~(measures > threshold)).tolist()

@@ -39,6 +39,7 @@ from .mesh import (
     ElementType,
     Mesh,
     _edge_neighbors,
+    _element_slabs,
     _incident_elements,
     _is_integer,
     element_signed_measures,
@@ -187,8 +188,8 @@ class _Transform:
     images are averaged once at the end.  Closed surfaces (tet, hex
     octahedron) are averaged on every pass; the result is scaled about its
     centroid to the volume given by `orientation`, the measures of `points`.
-    A call returns the workspace's own (n, k, dim) buffer, which the next
-    call overwrites.
+    A call returns the (n, k, dim) view of the workspace's own (dim, k, n)
+    buffer, which the next call overwrites.
     """
 
     def __init__(self, element_type, shape):
@@ -204,7 +205,6 @@ class _Transform:
         # their (T n, rows, dim) views, as geometry takes triangles
         self.rows = [a.transpose(2, 0, 1)
                      for a in (self.tris, self.new, self.work)]
-        self.out = np.empty(shape)
         # Row indices into the (rows, n) views: coordinate j of working
         # point p is row j * working + p; of vertex i of triangle t, row
         # (i * dim + j) * T + t.
@@ -239,21 +239,18 @@ class _Transform:
                 rescale_areas(tris_rows, new_rows, tris_rows, work_rows)
         if not closed:
             _take_mean(gather, self.images, cur, new)
-            np.copyto(self.out, cur.T)
-            return self.out
+            return cur.T
 
         if element_type is ElementType.HEX:
             _take_mean(cur.reshape(-1, n), self.octahedron, p, tris)
-        np.copyto(self.out, p.T)
-        volumes = _orientation(self.out, element_type).sum(axis=-1)
+        volumes = _orientation(p.T, element_type).sum(axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
             factor = np.cbrt(np.abs(orientation.sum(axis=-1) / volumes))
         c = _mean(p.swapaxes(0, 1), self.work[0, :, :n])[:, None]
         np.subtract(p, c, out=p)
         np.multiply(p, factor, out=p)
         np.add(p, c, out=p)
-        np.copyto(self.out, p.T)
-        return self.out
+        return p.T
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +273,15 @@ def _iterate(mesh, cfg, steps):
     q = element_qualities(mesh.element_points(), etype)
     trace = [(0, float(q.mean()), float(q.min()))]
     guard_resets = []
-    for it in range(1, cfg.max_iterations + 1):
-        verts, points, events = next(steps)
-        guard_resets.append(events)
-        q = element_qualities(points, etype)
-        trace.append((it, float(q.mean()), float(q.min())))
-        if not trace[it][1] - trace[it - 1][1] >= cfg.error_bound:
-            break
+    # An overflowed measure is NaN by design, and `steps` runs in here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, cfg.max_iterations + 1):
+            verts, points, events = next(steps)
+            guard_resets.append(events)
+            q = element_qualities(points, etype)
+            trace.append((it, float(q.mean()), float(q.min())))
+            if not trace[it][1] - trace[it - 1][1] >= cfg.error_bound:
+                break
     report = QualityReport.from_qualities(q, trace)
     return SmoothingResult(mesh.with_vertices(verts), report, len(trace) - 1,
                            guard_resets)
@@ -295,10 +294,12 @@ def smooth(mesh, cfg=SmootherConfig()):
 
 
 def _vertex_sums(indices, values, n):
-    """Sums of the `values` rows per vertex index, each added in input order
-    from 0.0, as np.add.at into zeros adds them."""
-    return np.stack([np.bincount(indices, weights=col, minlength=n)
-                     for col in values.T], axis=1)
+    """Sums of the `values` rows (..., dim) per vertex index, each added in
+    input order (C order of the leading axes) from 0.0, as np.add.at into
+    zeros adds them."""
+    return np.stack([np.bincount(indices, weights=values[..., j].ravel(),
+                                 minlength=n)
+                     for j in range(values.shape[-1])], axis=1)
 
 
 def _accept(new, old, rows, conn, guarded, element_type):
@@ -315,7 +316,7 @@ def _accept(new, old, rows, conn, guarded, element_type):
     while True:
         new[roll] = old[roll]
         sent[roll] = True
-        points = new[conn]
+        points = _element_slabs(new, conn)
         orientation = _orientation(points, element_type)
         hit = _inverts(guarded, orientation)
         back |= hit   # before the end check: a NaN corner stays hit
@@ -336,7 +337,7 @@ def _getme_steps(mesh, cfg):
     pinned = ((counts == 0) | mesh.boundary_mask)[:, None]
     free = np.flatnonzero(~pinned)
     counts = np.maximum(counts, 1)[:, None]
-    points = verts[elems]
+    points = _element_slabs(verts, elems)
     orientation = _orientation(points, element_type)
     transform = _Transform(element_type, points.shape)
 
@@ -346,15 +347,14 @@ def _getme_steps(mesh, cfg):
 
         # Non-finite images are already bad, and every measure is taken row
         # by row, so the guard can measure `new` as it is.
-        bad = ~np.all(np.isfinite(new.reshape(len(elems), -1)), axis=1)
+        bad = ~np.isfinite(new).all(axis=(1, 2))
         if guard_on:
             bad |= _inverts(guarded, _orientation(new, element_type))
         new = np.where(bad[:, None, None], points, new)
 
         # Averaging valid images can still invert a corner: `_accept`
         # sends such elements back, and each reset element counts once.
-        acc = _vertex_sums(elems.ravel(), new.reshape(-1, verts.shape[1]),
-                           len(verts))
+        acc = _vertex_sums(elems.ravel(), new, len(verts))
         old, verts = verts, np.where(pinned, verts, acc / counts)
         points, orientation, back, _ = _accept(verts, old, free, elems,
                                                guarded, element_type)
@@ -419,7 +419,7 @@ def _laplace_steps(mesh):
     n = len(mesh.vertices)
     work = np.vstack([mesh.vertices, np.full((1, mesh.dimension), -0.0)])
     old = work.copy()
-    guarded = ~(_orientation(work[elems], etype) <= 0)
+    guarded = ~(_orientation(_element_slabs(work, elems), etype) <= 0)
     neighbors, nb_at = _edge_neighbors(mesh)
     incident = _incident_elements(mesh)
     colours = _colours(mesh, nb_at, incident)
@@ -441,4 +441,4 @@ def _laplace_steps(mesh):
             rejected += int(np.count_nonzero(stayed))
             if not held.all():   # else every corner stays guarded
                 guarded[inc] = ~(corners <= 0)
-        yield work[:n], work[elems], rejected
+        yield work[:n], _element_slabs(work, elems), rejected

@@ -23,7 +23,7 @@ from getme import (
     triangle_areas,
     vertex_radii,
 )
-from getme.geometry import rescale_areas
+from getme.geometry import hex_face_barycenters, rescale_areas
 
 TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.2, 0.8]])
 
@@ -224,6 +224,18 @@ def test_hex_to_octahedron_unit_cube():
         a, b, c = verts[face]
         normal = np.cross(b - a, c - a)
         assert np.dot(normal, a - center) > 0
+
+
+def test_hex_face_barycenters_keep_the_bits_of_the_fancy_mean():
+    rng = np.random.default_rng(11)
+    hexes = rng.standard_normal((2, 40, 8, 3)) * 10.0 ** rng.integers(
+        -8, 9, size=(2, 40, 8, 1))
+    for given in (hexes, hexes[0], np.ascontiguousarray(hexes[0].T).T,
+                  hexes[0, 0]):
+        want = given[..., HEX_FACES, :].mean(axis=-2)
+        got = hex_face_barycenters(given)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_octahedron_round_trip_shrinks_cube_to_one_third():

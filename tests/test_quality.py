@@ -11,9 +11,12 @@ from getme import (
     QualityReport,
     distortion,
     element_qualities,
+    element_signed_measures,
     generate,
     mesh_quality,
 )
+from getme.mesh import CORNERS, dets
+from getme.quality import REFERENCE_INVERSES
 
 EQUILATERAL = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
 
@@ -219,3 +222,57 @@ def test_mesh_quality_on_generated_mesh():
     # 4 sqrt(3) (1/2) / (1 + 1 + 2) = sqrt(3)/2
     assert np.allclose(report.per_element, math.sqrt(3.0) / 2.0)
     assert report.mean == pytest.approx(math.sqrt(3.0) / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# The corner gathers against the fancy-indexed forms they replace
+# ---------------------------------------------------------------------------
+
+#: Per type, a generated mesh whose corner sums round differently when the
+#: measures or the quality edges are laid out otherwise in memory.
+LAYOUT_MESHES = {
+    ElementType.TRIANGLE: ("jittered-square-tri", 20, 0.4),
+    ElementType.QUAD: ("quad-grid-with-hole", 10, 0.3),
+    ElementType.TET: ("cube-tet", 8, 0.45),
+    ElementType.HEX: ("cube-hex", 10, 0.35),
+}
+
+
+def fancy_edges(points, corners):
+    """The corner edges of (n, k, dim) C points as two fancy gathers, which
+    lay them out in memory as (corners, neighbours, n, dim)."""
+    return points[..., corners[:, 1:], :] - points[..., corners[:, :1], :]
+
+
+def fancy_qualities(points, element_type):
+    """The mean ratio of planar or volume (n, k, dim) C points, whose edge
+    matrices are square, from `fancy_edges`: the einsum trace rounds by the
+    memory layout of s."""
+    s = np.swapaxes(fancy_edges(points, CORNERS[element_type]), -1, -2)
+    reference_inv = REFERENCE_INVERSES.get(element_type)
+    if reference_inv is not None:
+        s = s @ reference_inv
+    with np.errstate(all="ignore"):
+        det = dets(s)
+        trace = np.einsum("...ij,...ij->...", s, s)
+        q = s.shape[-1] * (np.cbrt(det) ** 2 if s.shape[-1] == 3
+                           else det) / trace
+    q = np.where(det > 0, q, 0.0)
+    q[~(np.isfinite(det) & np.isfinite(trace))] = np.nan
+    return q.mean(axis=-1)
+
+
+@pytest.mark.parametrize("layout", ["C", "slabs"])
+@pytest.mark.parametrize("etype", list(LAYOUT_MESHES), ids=lambda e: e.value)
+def test_corner_gathers_keep_the_bits_of_fancy_indexing(etype, layout):
+    mesh = generate(GeneratorSpec(*LAYOUT_MESHES[etype], 7))
+    points = mesh.vertices[mesh.elements]
+    given = points if layout == "C" else np.ascontiguousarray(points.T).T
+    measures = element_signed_measures(given, etype)
+    want = dets(fancy_edges(points, CORNERS[etype]))
+    assert measures.tobytes() == want.tobytes()
+    for reduce in (np.sum, np.min):   # the sum rounds by the layout
+        assert (reduce(measures, axis=-1).tobytes()
+                == reduce(want, axis=-1).tobytes())
+    assert (element_qualities(given, etype).tobytes()
+            == fancy_qualities(points, etype).tobytes())

@@ -640,6 +640,20 @@ def test_unguarded_smoothing_near_the_float_maximum_stays_finite(kind):
             == mesh.vertices[pinned].tobytes())
 
 
+@pytest.mark.parametrize("kind", ["jittered-square-tri", "cube-tet"])
+def test_overflowing_meshes_smooth_and_validate_without_warnings(kind):
+    # the squared edge lengths and determinants of a mesh at 1e300 overflow;
+    # NaN measures are the designed result, not a numpy RuntimeWarning,
+    # which this test (under the error filter, with no errstate) refuses
+    mesh = generate(GeneratorSpec(kind, 4, 0.4, 7))
+    mesh = mesh.with_vertices(mesh.vertices * 1e300)
+    assert validate(mesh) == list(range(len(mesh.elements)))
+    adaptive = adaptive_config(mesh.element_type)
+    for result in (smooth(mesh), smooth(mesh, adaptive), smart_laplace(mesh)):
+        assert result.iterations_run == 1
+        assert np.isnan(result.report.mean)
+
+
 def rotation_3d(axis, ang):
     """Rotation by `ang` about the direction `axis` (Rodrigues' formula)."""
     k = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
@@ -901,8 +915,10 @@ def test_smooth_matches_lapack_det_reference(monkeypatch, name, preset):
 
 
 #: The most a second call of one `_Transform` may allocate, in bytes of its
-#: element points, on every type: its buffers come from the workspace.
-TRANSFORM_PEAK_BOUND = 8
+#: element points, on every type: its buffers come from the workspace.  The
+#: hex volume measure peaks highest, at 5.69 on hex10 (tet8 1.34, quad10
+#: 3.66, tri20 1.09), so 6.5 leaves a margin of about 14%.
+TRANSFORM_PEAK_BOUND = 6.5
 
 
 @pytest.mark.parametrize("name", list(DESK_MESHES))

@@ -309,34 +309,6 @@ HEX_CORNER_TETS = np.array([
 ])
 
 
-def _corner_slabs(points, corners):
-    """The vertex rows that corners, given as rows (vertex, neighbors...)
-    of local indices, name in `points` (..., k, dim): the neighbors
-    (dim, corners, neighbors, ...) and the vertices (dim, corners, ...), as
-    np.take along the vertex axis of the (dim, k, ...) transpose of
-    `points`.  That transpose is read without a copy when `points` is the
-    view of a (dim, k, ...) C array, as `mesh._element_slabs` gives."""
-    t = np.asarray(points, dtype=float).T
-    return (np.take(t, corners[:, 1:], axis=1),
-            np.take(t, corners[:, 0], axis=1))
-
-
-def corner_edges(points, corners):
-    """The edges from each corner's vertex to its neighbors, for corners
-    given as rows (vertex, neighbors...) of local indices: the rows of
-    shape (..., corners, neighbors, dim), laid out in memory as (corners,
-    neighbors, ..., dim): quality's products and trace round by the
-    layout."""
-    neighbors, vertices = _corner_slabs(points, corners)
-    memory = np.empty(neighbors.shape[1:3] + np.shape(points)[:-2]
-                      + neighbors.shape[:1])
-    nd = memory.ndim
-    edges = memory.transpose(*range(2, nd - 1), 0, 1, nd - 1)
-    np.subtract(neighbors, vertices[:, :, None],
-                out=edges.swapaxes(-3, -2).T)
-    return edges
-
-
 def hex_face_barycenters(hexes):
     """The six face barycenters of each hexahedron, shape (..., 6, 3), as
     the view of a (3, 6, ...) C array: the `_mean` of the four vertex slabs

@@ -9,7 +9,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import InvalidMesh, InvalidTopology
-from .geometry import EPS_DEGENERATE, HEX_CORNER_TETS, HEX_FACES, _corner_slabs
+from .geometry import EPS_DEGENERATE, HEX_CORNER_TETS, HEX_FACES
 
 
 class ElementType(enum.Enum):
@@ -252,6 +252,20 @@ CORNERS = {
 }
 
 
+def corner_edges(points, corners):
+    """The edges from each corner's vertex to its neighbours, for corners
+    given as rows (vertex, neighbours...) of local indices into `points`
+    (..., k, dim): shape (..., corners, neighbours, dim), the view of a
+    (dim, corners, neighbours, ...) C array.  Its rows are taken along the
+    vertex axis of the (dim, k, ...) transpose of `points`, which is read
+    without a copy when `points` is the view of a (dim, k, ...) C array, as
+    `_element_slabs` gives."""
+    t = np.asarray(points, dtype=float).T
+    edges = np.take(t, corners[:, 1:], axis=1)
+    np.subtract(edges, np.take(t, corners[:, :1], axis=1), out=edges)
+    return edges.transpose(*range(edges.ndim - 1, 2, -1), 1, 2, 0)
+
+
 def element_signed_measures(points, element_type):
     """The determinant of each element's `CORNERS` edges, shape (n,
     corners), positive on a valid corner; a bilinear quad (so a non-convex
@@ -264,10 +278,7 @@ def element_signed_measures(points, element_type):
     if element_type is ElementType.TRIANGLE and points.shape[-1] != 2:
         raise InvalidMesh("3D triangle meshes have no orientation, and nothing"
                           " projects a moved vertex back onto the surface")
-    edges, vertices = _corner_slabs(points, CORNERS[element_type])
-    np.subtract(edges, vertices[:, :, None], out=edges)
-    # rows: the neighbours; columns: the coordinates; each a (corners, n) block
-    return dets(edges.transpose(1, *range(3, edges.ndim), 2, 0)).T
+    return dets(corner_edges(points, CORNERS[element_type]))
 
 
 def hex_corner_dets(points):

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import corner_edges
-from .mesh import CORNERS, ElementType, dets
+from .mesh import CORNERS, ElementType, corner_edges, dets
 
 #: Edge matrix of the regular reference tetrahedron (unit edge length).
 REFERENCE_TET_FACTOR = np.array([

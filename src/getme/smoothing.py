@@ -350,7 +350,7 @@ def _getme_steps(mesh, cfg):
         bad = ~np.isfinite(new).all(axis=(1, 2))
         if guard_on:
             bad |= _inverts(guarded, _orientation(new, element_type))
-        new = np.where(bad[:, None, None], points, new)
+        np.copyto(new, points, where=bad[:, None, None])
 
         # Averaging valid images can still invert a corner: `_accept`
         # sends such elements back, and each reset element counts once.

@@ -244,11 +244,11 @@ def fancy_edges(points, corners):
     return points[..., corners[:, 1:], :] - points[..., corners[:, :1], :]
 
 
-def fancy_qualities(points, element_type):
-    """The mean ratio of planar or volume (n, k, dim) C points, whose edge
-    matrices are square, from `fancy_edges`: the einsum trace rounds by the
-    memory layout of s."""
-    s = np.swapaxes(fancy_edges(points, CORNERS[element_type]), -1, -2)
+def fancy_qualities(edges, element_type):
+    """The mean ratio of planar or volume elements from their corner edges
+    (n, corners, neighbours, dim), whose matrices are square: the einsum
+    trace rounds by the memory layout of the edges."""
+    s = np.swapaxes(edges, -1, -2)
     reference_inv = REFERENCE_INVERSES.get(element_type)
     if reference_inv is not None:
         s = s @ reference_inv
@@ -268,11 +268,17 @@ def test_corner_gathers_keep_the_bits_of_fancy_indexing(etype, layout):
     mesh = generate(GeneratorSpec(*LAYOUT_MESHES[etype], 7))
     points = mesh.vertices[mesh.elements]
     given = points if layout == "C" else np.ascontiguousarray(points.T).T
+    edges = fancy_edges(points, CORNERS[etype])
     measures = element_signed_measures(given, etype)
-    want = dets(fancy_edges(points, CORNERS[etype]))
+    want = dets(edges)
     assert measures.tobytes() == want.tobytes()
     for reduce in (np.sum, np.min):   # the sum rounds by the layout
         assert (reduce(measures, axis=-1).tobytes()
                 == reduce(want, axis=-1).tobytes())
-    assert (element_qualities(given, etype).tobytes()
-            == fancy_qualities(points, etype).tobytes())
+    # the edges laid out (dim, corners, neighbours, n), as `corner_edges`
+    # lays them out; the old (corners, neighbours, n, dim) layout moves
+    # quad and hex qualities in the last bit only
+    slabs = np.ascontiguousarray(edges.swapaxes(0, -1)).swapaxes(0, -1)
+    qualities = element_qualities(given, etype)
+    assert qualities.tobytes() == fancy_qualities(slabs, etype).tobytes()
+    assert np.abs(qualities - fancy_qualities(edges, etype)).max() <= 1e-15

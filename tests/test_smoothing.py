@@ -13,6 +13,7 @@ from getme import (
     Mesh,
     SmootherConfig,
     adaptive_config,
+    element_qualities,
     element_signed_measures,
     generate,
     mesh_quality,
@@ -937,3 +938,26 @@ def test_a_transform_workspace_allocates_little(name):
     finally:
         tracemalloc.stop()
     assert peak < TRANSFORM_PEAK_BOUND * points.nbytes
+
+
+#: The most an `element_qualities` call may allocate, in bytes of its
+#: element points: one corner-edge array and the arithmetic on it.  It
+#: peaks at about 5.3 on quad10, whose 84 elements leave fixed-size
+#: temporaries the largest share (hex10 4.68, tri20 1.71, tet8 1.50);
+#: gathering the edges and then copying them into another layout reads
+#: 9.36 on quad10 and 7.26 on hex10.
+QUALITY_PEAK_BOUND = 6.0
+
+
+@pytest.mark.parametrize("name", list(DESK_MESHES))
+def test_element_qualities_allocate_little(name):
+    mesh = generate(GeneratorSpec(*DESK_MESHES[name], 7))
+    etype, points = mesh.element_type, mesh.element_points()
+    element_qualities(points, etype)
+    tracemalloc.start()   # it sees numpy's buffers
+    try:
+        element_qualities(points, etype)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < QUALITY_PEAK_BOUND * points.nbytes

@@ -16,7 +16,7 @@ import os
 import re
 from bisect import bisect_right
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -43,9 +43,13 @@ VTK_CELL_TYPES = {
     12: ElementType.HEX,
 }
 VTK_CELL_CODE = {v: k for k, v in VTK_CELL_TYPES.items()}
+_NO_CELLS = "a VTK file gives its element type only in CELL_TYPES"
 
-#: A `#` comment runs to the end of its line, where str.splitlines() ends it.
-_COMMENT = re.compile("#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
+#: The line breaks of str.splitlines() ("\r\n" aside), each whitespace to
+#: str.split().  A `#` comment runs to the end of its line.
+_BREAKS = "\n\r\v\f\x1c-\x1e\x85\u2028\u2029"
+_COMMENT = re.compile(f"#[^{_BREAKS}]*")
+_LINE_BREAK = re.compile(f"\r\n|[{_BREAKS}]")
 
 
 class _Tokens:
@@ -120,21 +124,21 @@ class _Tokens:
 
 
 def _column(kind, tokens):
-    """`tokens` read by Python's float() or int(), as a float or an int64
-    array.  An int must lie strictly between -2**63 and 2**63, so that it
-    still fits int64 after Medit's shift to 0-based indices."""
+    """`tokens` read by Python's float() or int(), which numpy calls on each
+    str, as a float or an int64 array.  An int must lie strictly between
+    -2**63 and 2**63 to fit int64 after Medit's shift to 0-based indices."""
     if kind is float:
-        return np.array(list(map(float, tokens)), dtype=float)
-    values = np.array(list(map(int, tokens)), dtype=np.int64)
+        return np.array(tokens, dtype=float)
+    values = np.array(tokens, dtype=np.int64)
     if (values == -2**63).any():
         raise OverflowError("-2**63 is out of range")
     return values
 
 
-def _table(row, *columns):
+def _table(row, table):
     """One section of text: the format `row` applied to each row of the
-    given columns (lists from `.tolist()`)."""
-    return "".join(map(row.__mod__, zip(*columns)))
+    array `table`, as one `%` over the whole section."""
+    return (row * len(table)) % tuple(table.ravel().tolist())
 
 
 def _mesh(tok, vertices, elements, element_type, boundary):
@@ -210,10 +214,10 @@ def write_medit(mesh, fileobj):
     w = fileobj.write
     w(f"MeshVersionFormatted 2\nDimension\n{dim}\n")
     w(f"Vertices\n{len(mesh.vertices)}\n"
-      + _table("%.17g " * dim + "%d\n", *mesh.vertices.T.tolist(),
-               mesh.boundary_mask.tolist()))
+      + _table("%.17g " * dim + "%d\n",  # "%d" % 1.0 == "1"
+               np.column_stack([mesh.vertices, mesh.boundary_mask])))
     w(f"{MEDIT_SECTION[mesh.element_type]}\n{len(mesh.elements)}\n"
-      + _table("%d " * k + "0\n", *(mesh.elements + 1).T.tolist()))
+      + _table("%d " * k + "0\n", mesh.elements + 1))
     w("End\n")
 
 
@@ -223,7 +227,9 @@ def write_medit(mesh, fileobj):
 
 
 def read_vtk(text):
-    lines = text.splitlines()
+    breaks = list(islice(_LINE_BREAK.finditer(text), 4))
+    body = breaks[3].end() if len(breaks) == 4 else len(text)
+    lines = text[:body].splitlines()
     if len(lines) < 4:
         raise ParseError("truncated VTK header", line=len(lines) or 1)
     if not lines[0].startswith("# vtk DataFile"):
@@ -234,7 +240,7 @@ def read_vtk(text):
     if len(dataset) != 2 or dataset[0] != "DATASET" or dataset[1] != "UNSTRUCTURED_GRID":
         raise ParseError("expected DATASET UNSTRUCTURED_GRID", line=4)
 
-    tok = _Tokens("\n".join(lines[4:]), offset=4)
+    tok = _Tokens(text[body:], offset=4)
     points = cells = cell_types = boundary_flags = None
     data_section = data_count = None
     while tok.pos < len(tok.items):
@@ -297,7 +303,8 @@ def read_vtk(text):
         raise tok.error(f"mixed cell types {types}", cls=MixedElementTypes)
     code = types[0] if types else None
     if code not in VTK_CELL_TYPES:
-        raise tok.error(f"unsupported VTK cell type {code}",
+        raise tok.error(f"no cells, and {_NO_CELLS}" if code is None else
+                        f"unsupported VTK cell type {code}",
                         cls=UnsupportedElementType)
     etype = VTK_CELL_TYPES[code]
     k = NODES_PER_ELEMENT[etype]
@@ -339,12 +346,12 @@ def write_vtk(mesh, fileobj):
     w("# vtk DataFile Version 3.0\ngetme mesh\nASCII\n"
       "DATASET UNSTRUCTURED_GRID\n")
     w(f"POINTS {n} double\n"
-      + _table(point + "\n", *mesh.vertices.T.tolist()))
+      + _table(point + "\n", mesh.vertices))
     w(f"CELLS {m} {m * (k + 1)}\n"
-      + _table(f"{k}" + " %d" * k + "\n", *mesh.elements.T.tolist()))
+      + _table(f"{k}" + " %d" * k + "\n", mesh.elements))
     w(f"CELL_TYPES {m}\n" + f"{VTK_CELL_CODE[mesh.element_type]}\n" * m)
     w(f"POINT_DATA {n}\nSCALARS boundary int 1\nLOOKUP_TABLE default\n"
-      + _table("%d\n", mesh.boundary_mask.tolist()))
+      + _table("%d\n", mesh.boundary_mask))
 
 
 # ---------------------------------------------------------------------------
@@ -390,5 +397,8 @@ def read_mesh(path, format=None):
 def write_mesh(mesh, path, format=None):
     """Write a mesh file; the format defaults to the file extension."""
     _, writer = _codec(path, format)
+    if writer is write_vtk and not len(mesh.elements):
+        raise InvalidMesh("a mesh without elements cannot be written as "
+                          f"VTK: {_NO_CELLS}")
     with open(path, "w", encoding="ascii") as fh:
         writer(mesh, fh)

@@ -189,15 +189,21 @@ def _edge_neighbors(mesh):
 def _facet_table(mesh, local):
     """The distinct facets of `mesh`, given as tuples of local vertex
     indices, as rows of sorted vertex indices in lexicographic order, and
-    how many element facets each one is."""
+    how many element facets each one is.  The rows sort by one int64 key
+    per pair of columns, c0 * n + c1 for n vertices (a lone last column is
+    its own key): exact while n**2 < 2**63, that is n < 3.0e9, a mesh whose
+    coordinates alone would take 48 GB."""
+    n = len(mesh.vertices)
     cols = _sorted_columns(mesh.elements.T[np.array(local).T]
                            .reshape(len(local[0]), -1))
-    order = np.lexsort(cols[::-1])
-    cols = [c[order] for c in cols]
+    keys = [cols[i] * n + cols[i + 1] for i in range(0, len(cols) - 1, 2)]
+    keys += cols[2 * len(keys):]
+    order = np.lexsort(keys[::-1])
+    keys = [key[order] for key in keys]
     first = np.ones(len(order), dtype=bool)
-    first[1:] = reduce(np.logical_or, [c[1:] != c[:-1] for c in cols])
+    first[1:] = reduce(np.logical_or, [key[1:] != key[:-1] for key in keys])
     starts = np.flatnonzero(first)
-    return (np.stack([c[starts] for c in cols], axis=1),
+    return (np.stack([c[order[starts]] for c in cols], axis=1),
             np.diff(starts, append=len(order)))
 
 

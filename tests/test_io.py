@@ -5,6 +5,7 @@ import pytest
 
 from getme import (
     GeneratorSpec,
+    InvalidMesh,
     Mesh,
     MixedElementTypes,
     ParseError,
@@ -166,6 +167,48 @@ def test_vtk_requires_unstructured_grid():
     with pytest.raises(ParseError) as err:
         read_vtk(header)
     assert err.value.line == 4
+
+
+#: Every line break of str.splitlines(); each is whitespace to str.split().
+LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+VTK_HEADER = "# vtk DataFile Version 3.0\nx\nASCII\nDATASET UNSTRUCTURED_GRID"
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_vtk_body_starts_after_the_fourth_line_break(brk):
+    # a file of four lines has an empty body, with or without a final break
+    header = VTK_HEADER.replace("\n", brk)
+    for text in (header, header + brk):
+        with pytest.raises(ParseError, match="missing POINTS") as err:
+            read_vtk(text)
+        assert err.value.line == 5
+    body = brk.join(["", "POINTS 2 double", "0 0 # 1", "0 x 0", ""])
+    with pytest.raises(ParseError) as err:
+        read_vtk(header + body)
+    assert str(err.value) == "line 7: expected number coordinate, got 'x'"
+    assert (err.value.line, err.value.token) == (7, "x")
+
+
+@pytest.mark.parametrize("kind", ["jittered-square-tri", "cube-tet"])
+def test_a_mesh_without_elements_is_medit_only(tmp_path, kind):
+    mesh = generate(GeneratorSpec(kind, resolution=2))
+    bare = Mesh(mesh.vertices, mesh.elements[:0], mesh.element_type, [0])
+    write_mesh(bare, tmp_path / "bare.mesh")
+    back = read_mesh(tmp_path / "bare.mesh")
+    assert back == bare and back.elements.shape == bare.elements.shape
+    # a VTK file gives the element type of each cell, and of no other
+    path = tmp_path / "bare.vtk"
+    with pytest.raises(InvalidMesh, match="without elements .*CELL_TYPES"):
+        write_mesh(bare, path)
+    assert not path.exists()
+    text = io.StringIO()
+    write_vtk(bare, text)
+    assert "CELLS 0 0\nCELL_TYPES 0\n" in text.getvalue()
+    with pytest.raises(UnsupportedElementType,
+                       match="no cells, and .*CELL_TYPES") as err:
+        read_vtk(text.getvalue())
+    assert "None" not in str(err.value)
 
 
 def test_round_trip_is_bit_exact(tmp_path):

@@ -21,10 +21,12 @@ from getme import (
     AdaptiveParams,
     ElementType,
     GeneratorSpec,
+    InvalidMesh,
     Mesh,
     ParseError,
     SmootherConfig,
     adaptive_config,
+    detect_boundary,
     element_qualities,
     generate,
     read_mesh,
@@ -438,3 +440,152 @@ def test_malformed_files_raise_parse_error_and_exit_2(kind, suffix, data):
         except ParseError:
             read = False
         assert run(["quality", "--in", str(path)]) == (0 if read else 2)
+
+
+# a digit run with leading zeros and `_` separators, sometimes doubled or
+# at an end, where Python refuses them; "٣" is a Unicode digit, which
+# Python reads as 3
+DIGITS = st.builds(
+    lambda groups, sep, edge, front: (edge + sep.join(groups) if front
+                                      else sep.join(groups) + edge),
+    st.lists(st.text("0123456789٣", min_size=1, max_size=4),
+             min_size=1, max_size=3),
+    st.sampled_from(["", "_", "__"]), st.sampled_from(["", "", "", "_"]),
+    st.booleans())
+SIGNS = st.sampled_from(["", "+", "-"])
+FLOAT_TOKENS = st.one_of(
+    st.builds(lambda sign, mantissa, exponent: sign + mantissa + exponent,
+              SIGNS,
+              st.one_of(DIGITS, DIGITS.map(lambda d: d + "."),
+                        DIGITS.map(lambda d: "." + d),
+                        st.tuples(DIGITS, DIGITS).map(".".join)),
+              st.one_of(st.just(""), st.tuples(
+                  st.sampled_from("eE"), SIGNS, DIGITS).map("".join))),
+    st.sampled_from(["nan", "NaN", "-nan", "+NAN", "inf", "-Inf", "+inf",
+                     "INFINITY", "-infinity", "infinit", "nan1", "-0",
+                     "-0.0", "4.9e-324", "2.4703282292062328e-324",
+                     "2.225073858507201e-308", "1e-400", "2e308",
+                     "1.7976931348623157e308", "0x10", "1e", "e5", ".",
+                     "1..5", "--1", "1.5.5"]))
+BIG = 2**63
+INT_TOKENS = st.one_of(
+    st.tuples(SIGNS, DIGITS).map("".join),
+    # vertex indices in range, as a reader may spell them
+    st.tuples(st.sampled_from(["", "+", "0", "+00", "0_", "_"]),
+              st.integers(0, 20).map(str)).map("".join),
+    st.sampled_from([str(v) for v in (BIG - 1, BIG, BIG + 1, 1 - BIG, -BIG,
+                                      -BIG - 1)]
+                    + ["1.5", "1e3", "nan", "0x1", "-0", "+0_0", "٣"]))
+
+
+def python_value(kind, token):
+    """`token` as Python's float() or int() reads it, or None where a
+    reader refuses it; an int must lie strictly between -2**63 and 2**63."""
+    try:
+        value = kind(token)
+    except ValueError:
+        return None
+    return value if kind is float or -BIG < value < BIG else None
+
+
+def replace_column(lines, header, skip, column, tokens):
+    """Put `tokens`, {row: token}, in the given column of the rows that
+    follow `skip` lines after the first line starting with `header`;
+    returns the 1-based line of each row."""
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith(header)) + skip
+    for row, token in tokens.items():
+        words = lines[start + row].split(" ")
+        words[column] = token
+        lines[start + row] = " ".join(words)
+    return {row: start + row + 1 for row in tokens}
+
+
+# one to three drawn tokens in the x column of the vertices and in the
+# first vertex index column of the elements; each value reads as Python
+# reads its token, or the first bad token in file order is refused on its
+# line, or the values make no mesh
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(fmt=st.sampled_from(["medit", "vtk"]), data=st.data())
+def test_readers_convert_each_number_as_python_does(fmt, data):
+    mesh = generate(GeneratorSpec("jittered-square-tri", 3))
+    n, m = len(mesh.vertices), len(mesh.elements)
+    xs = data.draw(st.dictionaries(st.integers(0, n - 1), FLOAT_TOKENS,
+                                   max_size=3))
+    ids = data.draw(st.dictionaries(st.integers(0, m - 1), INT_TOKENS,
+                                    max_size=3))
+    assume(xs or ids)
+    write, read, float_at, int_at, shift = {
+        "medit": (write_medit, read_medit, ("Vertices", 2, 0),
+                  ("Triangles", 2, 0), 1),
+        "vtk": (write_vtk, read_vtk, ("POINTS", 1, 0), ("CELLS", 1, 1), 0),
+    }[fmt]
+    buf = io.StringIO()
+    write(mesh, buf)
+    lines = buf.getvalue().split("\n")
+    x_lines = replace_column(lines, *float_at, xs)
+    id_lines = replace_column(lines, *int_at, ids)
+    text = "\n".join(lines)
+
+    drawn = sorted([(x_lines[r], t, float, "coordinate") for r, t in xs.items()]
+                   + [(id_lines[r], t, int, "vertex index")
+                      for r, t in ids.items()])
+    bad = [(line, token, kind, what) for line, token, kind, what in drawn
+           if python_value(kind, token) is None]
+    if bad:
+        line, token, kind, what = bad[0]
+        expected = "number" if kind is float else "64-bit integer"
+        with pytest.raises(ParseError) as err:
+            read(text)
+        assert type(err.value) is ParseError
+        assert str(err.value) == (f"line {line}: expected {expected} {what}, "
+                                  f"got {token!r}")
+        assert (err.value.line, err.value.token) == (line, token)
+        return
+    vertices, elements = mesh.vertices.copy(), mesh.elements.copy()
+    for row, token in xs.items():
+        vertices[row, 0] = float(token)
+    for row, token in ids.items():
+        elements[row, 0] = int(token) - shift
+    try:
+        want = Mesh(vertices, elements, mesh.element_type,
+                    np.flatnonzero(mesh.boundary_mask))
+    except InvalidMesh as exc:
+        with pytest.raises(ParseError, match=re.escape(
+                f"inconsistent mesh data: {exc}")):
+            read(text)
+        return
+    got = read(text)
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert got.elements.tobytes() == want.elements.tobytes()
+    assert np.array_equal(got.boundary_mask, want.boundary_mask)
+
+
+# a file without boundary flags: a Medit file whose refs are all 0, or a
+# VTK file cut before its POINT_DATA block
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(kind=st.sampled_from(GENERATED_KINDS),
+       resolution=st.integers(2, 4),
+       jitter=st.floats(0.0, 0.45),
+       seed=st.integers(0, 2**16),
+       suffix=st.sampled_from([".mesh", ".vtk"]))
+def test_a_detected_boundary_never_moves_under_getme_smooth(
+        kind, resolution, jitter, seed, suffix):
+    mesh = generate(GeneratorSpec(kind, resolution, jitter, seed))
+    pinned = sorted(detect_boundary(mesh))
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp, "in" + suffix), Path(tmp, "out" + suffix)
+        write_mesh(Mesh(mesh.vertices, mesh.elements, mesh.element_type),
+                   src)
+        if suffix == ".vtk":
+            src.write_text(src.read_text().split("POINT_DATA")[0])
+        assert not read_mesh(src).boundary_given
+        for smoother in SMOOTHERS:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                # 3: invalid elements remain, and the mesh is written
+                assert run(["smooth", "--in", str(src), "--smoother",
+                            smoother, "--out", str(out)]) in (0, 3)
+            smoothed = read_mesh(out).vertices
+            assert (smoothed[pinned].tobytes()
+                    == mesh.vertices[pinned].tobytes()), smoother

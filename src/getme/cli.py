@@ -1,9 +1,10 @@
 """Command-line driver: mesh generation, smoothing, quality reporting and
 oscillation-model data export.
 
-Exit codes: 0 success, 1 usage error, 2 I/O or parse error or a facet shared
-by more than two elements, 3 the smoothed mesh still contains invalid
-elements (the mesh is written regardless).
+Exit codes: 0 success, 1 usage error, 2 I/O or parse error, a facet shared
+by more than two elements or an input to smooth without elements, 3 the
+smoothed mesh still contains invalid elements (the mesh is written
+regardless).
 `getme smooth` pins the detected domain boundary of a file without boundary
 flags.
 """
@@ -136,6 +137,10 @@ def _cmd_smooth(args):
     _codec(args.outfile, args.format)   # an unusable --out fails first
     overrides = _smoother_overrides(args)
     mesh = read_mesh(args.infile, args.format)
+    if not len(mesh.elements):   # the file is at fault, as on a parse error
+        print(f"error: {args.infile} has no elements to smooth",
+              file=sys.stderr)
+        return 2
     if not mesh.boundary_given:
         mesh = Mesh(mesh.vertices, mesh.elements, mesh.element_type,
                     detect_boundary(mesh))

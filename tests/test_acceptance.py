@@ -34,7 +34,6 @@ from getme import (
     element_qualities,
     element_signed_measures,
     generate,
-    is_convergent,
     mesh_quality,
     second_order_residual,
     smart_laplace,
@@ -55,6 +54,7 @@ from getme.geometry import (
 )
 from getme.io import read_medit, read_vtk, write_mesh, read_mesh
 from getme.smoothing import GUARD_NONE
+from test_smoothing import concave_fan
 
 
 def report(criterion, ok, detail):
@@ -356,14 +356,6 @@ def test_criterion_08_desk_smoothing(key):
 # ---------------------------------------------------------------------------
 # 9. SmartLaplace baseline
 # ---------------------------------------------------------------------------
-
-
-def concave_fan():
-    ring = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 3.0],
-                     [2.0, 0.5], [0.0, 3.0]])
-    verts = np.vstack([[2.0, 0.25], ring])
-    tris = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 5, 1]]
-    return Mesh(verts, tris, "triangle", boundary_vertices=range(1, 6))
 
 
 def test_criterion_09_smart_laplace():

@@ -123,6 +123,21 @@ def test_smooth_exits_2_on_a_non_manifold_file(tmp_path, capsys, suffix):
     assert not s.exists()
 
 
+@pytest.mark.parametrize("smoother", ["getme", "getme-adaptive",
+                                      "smart-laplace"])
+def test_smooth_exits_2_on_a_file_without_elements(tmp_path, capsys,
+                                                   smoother):
+    # three vertices and "Triangles 0": the input file is at fault, so the
+    # command refuses it before the boundary note and writes no --out
+    m, s = tmp_path / "empty.mesh", tmp_path / "out.mesh"
+    write_mesh(Mesh([[0, 0], [1, 0], [0, 1]], np.empty((0, 3)), "triangle"), m)
+    assert "Triangles\n0\n" in m.read_text()
+    assert run(["smooth", "--in", str(m), "--smoother", smoother,
+                "--out", str(s)]) == 2
+    assert capsys.readouterr().err == f"error: {m} has no elements to smooth\n"
+    assert not s.exists()
+
+
 @pytest.mark.parametrize("module", ["getme", "getme.cli"])
 def test_python_dash_m_runs_the_cli(tmp_path, module):
     out = tmp_path / "x.mesh"
@@ -244,6 +259,18 @@ def test_usage_errors_exit_1(capsys):
                 "--out", "x.csv"]) == 1
     assert run(["generate", "--kind", "disk-tri", "--jitter", "0.9",
                 "--out", "x.mesh"]) == 1
+
+
+def test_ode_compare_refuses_a_bad_triangle_or_step_count(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert run(["ode-compare", "--triangle", "0,0,1,0,x,0.8", "--steps", "4",
+                "--out", str(out)]) == 1
+    assert ("argument --triangle: could not convert string to float: 'x'"
+            in capsys.readouterr().err)
+    assert run(["ode-compare", "--triangle", "0,0,1,0,0.2,0.8",
+                "--steps", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --steps must be non-negative\n"
+    assert not out.exists()
 
 
 def test_non_finite_settings_exit_1(tmp_path):

@@ -226,6 +226,25 @@ def test_hex_to_octahedron_unit_cube():
         assert np.dot(normal, a - center) > 0
 
 
+def test_hex_duality_refuses_a_wrong_shape_or_a_collapsed_hex():
+    with pytest.raises(ValueError, match=r"expected an \(8, 3\) vertex array"):
+        hex_to_octahedron(UNIT_CUBE[:7])
+    # a hex flattened into a plane still has face barycenters in general
+    # position; one collapsed onto a segment has none
+    segment = UNIT_CUBE * [1.0, 0.0, 0.0]
+    with pytest.raises(DegenerateElement, match="barycenters are collinear"):
+        hex_to_octahedron(segment)
+
+
+def test_single_triangle_helpers_refuse_bad_input():
+    with pytest.raises(ValueError,
+                       match=r"expected \(\.\.\., 3, 2\|3\) vertex array, "
+                             r"got \(1, 4, 2\)"):
+        transform_triangle(np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="iteration count must be >= 0"):
+        iterate_triangle(TRI, n=-1)
+
+
 def test_hex_face_barycenters_keep_the_bits_of_the_fancy_mean():
     rng = np.random.default_rng(11)
     hexes = rng.standard_normal((2, 40, 8, 3)) * 10.0 ** rng.integers(
@@ -282,8 +301,9 @@ def memory_layouts(tris):
 
 
 def nan_canonical_bytes(a):
-    """The bytes of `a` with every NaN made the same NaN: which NaN an
-    operation on NaN returns depends on the loop numpy picks."""
+    """The bytes of `a` with every NaN made the same NaN.  Which NaN an
+    operation on NaN returns depends on the loop numpy picks for the memory
+    layout and length, not on the formulas; NaN rows never reach vertices."""
     return np.where(np.isnan(a), np.nan, a).tobytes()
 
 

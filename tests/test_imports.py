@@ -1,13 +1,15 @@
-"""Every name a `getme` module imports is used in it: an `ast` check that
-needs no linter."""
+"""Every name a `getme` module, test or demo imports is used in it: an
+`ast` check that needs no linter."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(p for p in Path(__file__).parents[1].glob("src/getme/*.py")
-                 if p.name != "__init__.py")
+ROOT = Path(__file__).parents[1]
+# `__init__.py` imports its public names to re-export them
+SOURCES = sorted(p for pattern in ("src/getme/*.py", "tests/*.py", "demos/*.py")
+                 for p in ROOT.glob(pattern) if p.name != "__init__.py")
 
 
 def unused_imports(source):

@@ -327,6 +327,28 @@ MALFORMED = {
     **REPEATED,
 }
 
+#: Refusals with the cause they name, as a file name, an (old, new) text
+#: pair, and the error's line and message.
+REFUSED = {
+    "medit-dimension-4": ("m.mesh", "Dimension\n2", "Dimension\n4",
+                          2, "unsupported dimension 4"),
+    "medit-vertices-before-dimension": ("m.mesh", "Dimension\n2\n", "",
+                                        2, "Vertices before Dimension"),
+    "medit-no-elements": ("m.mesh", "Triangles\n1\n1 2 3 0\n", "",
+                          9, "file has no element section"),
+    "vtk-scalars-outside-data": ("m.vtk", "POINT_DATA 3\n", "", 13,
+                                 "SCALARS outside POINT_DATA or CELL_DATA"),
+    "vtk-component-count-not-a-number": ("m.vtk", "boundary int 1",
+                                         "boundary int x",
+                                         14, "expected LOOKUP_TABLE"),
+    "vtk-five-components": ("m.vtk", "boundary int 1", "boundary int 5", 14,
+                            "SCALARS boundary has 5 components, not 1 to 4"),
+    "vtk-cell-types-count": ("m.vtk", "CELL_TYPES 1\n5", "CELL_TYPES 2\n5\n5",
+                             19, "CELL_TYPES count does not match CELLS"),
+    "vtk-cell-size-of-type-9": ("m.vtk", "CELL_TYPES 1\n5", "CELL_TYPES 1\n9",
+                                18, "cell size does not match type 9"),
+}
+
 #: Legal additions this package does not write, as a file name and (old,
 #: new) text pairs; the edited file must read as the plain one does.
 EXTENDED = {
@@ -372,6 +394,20 @@ def test_malformed_counts_raise_parse_error(tmp_path, capsys, case):
     path.write_text(text)
     assert run(["quality", "--in", str(path)]) == 2
     assert "error: line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_refusal_names_its_cause_and_line(tmp_path, capsys, case):
+    name, old, new, line, message = REFUSED[case]
+    _, reader, text, _ = edited(case, {case: (name, old, new)})
+    with pytest.raises(ParseError) as err:
+        reader(text)
+    assert type(err.value) is ParseError
+    assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)
+    path = tmp_path / name
+    path.write_text(text)
+    assert run(["quality", "--in", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: line {line}: {message}\n"
 
 
 @pytest.mark.parametrize("case", sorted(REPEATED))

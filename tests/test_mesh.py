@@ -78,6 +78,19 @@ def test_mesh_validation_errors():
              boundary_vertices=[99])
 
 
+def test_mesh_refusals_name_their_cause():
+    with pytest.raises(InvalidMesh,
+                       match=r"vertices must be an \(N, 2\) or \(N, 3\) array"):
+        Mesh(np.zeros((3, 4)), [[0, 1, 2]], "triangle")
+    with pytest.raises(InvalidMesh,
+                       match="triangle elements need 3 vertex indices each"):
+        Mesh(SQUARE_2TRI.vertices, [[0, 1, 2, 3]], "triangle")
+    assert SQUARE_2TRI.__eq__(5) is NotImplemented
+    assert SQUARE_2TRI != 5
+    assert validate(Mesh(SQUARE_2TRI.vertices, np.empty((0, 3)),
+                         "triangle")) == []
+
+
 def test_with_vertices_keeps_flags():
     m = Mesh(SQUARE_2TRI.vertices, SQUARE_2TRI.elements, "triangle",
              boundary_vertices=[0, 2])

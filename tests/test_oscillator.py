@@ -121,6 +121,13 @@ def test_spectrum_discriminant_vanishes_at_boundary():
     assert spectrum(AdaptiveParams(1.0, 2.4)).lambda12_imag > 0.0
 
 
+def test_spectrum_and_verdict_take_a_plain_gain_pair():
+    for gains in ((1.0, 1.0), (0.1, 0.5)):
+        assert spectrum(gains) == spectrum(AdaptiveParams(*gains))
+        assert is_convergent(gains) == is_convergent(AdaptiveParams(*gains))
+    assert is_convergent((1.0, 1.0)) and not is_convergent((0.1, 0.5))
+
+
 def test_convergence_boundary():
     line = 1.0 + math.sqrt(3.0)
     assert is_convergent(AdaptiveParams(1.0, line - 1e-9))

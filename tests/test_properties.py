@@ -44,9 +44,9 @@ from getme.smoothing import (
     _Transform,
 )
 from test_cli import refuse, strict_json
+from test_geometry import nan_canonical_bytes
 from test_smoothing import (
     layout_cases,
-    nan_canonical_bytes,
     reference_laplace_steps,
     reference_transform,
 )
@@ -399,6 +399,41 @@ def test_smoothers_commute_with_scaling_by_a_power_of_two(
     assert got.report.iteration_trace == want.report.iteration_trace
     assert (got.report.per_element.tobytes()
             == want.report.per_element.tobytes())
+
+
+def proper_rotation(dim, seed):
+    """A rotation of R^dim drawn uniformly from `seed`: the Q of a Gaussian
+    matrix's QR, each column signed by R's diagonal, and the first column
+    flipped if the determinant is -1 (reflections are not drawn)."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, dim)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+# Rotated and shifted meshes round differently, so the vertices agree only
+# to a tolerance: over 400 such runs (both smoothers, res 2-5) they differed
+# by at most 1.1e-14, and the counts were equal in all of them.
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(kind=st.sampled_from(GENERATED_KINDS),
+       resolution=st.integers(2, 5),
+       jitter=st.floats(0.0, 0.45),
+       seed=st.integers(0, 2**16),
+       rotation_seed=st.integers(0, 2**32 - 1),
+       shift=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3))
+def test_smoothers_commute_with_random_rigid_motions(
+        kind, resolution, jitter, seed, rotation_seed, shift):
+    mesh = generate(GeneratorSpec(kind, resolution, jitter, seed))
+    rot = proper_rotation(mesh.dimension, rotation_seed)
+    shift = np.array(shift[:mesh.dimension])
+    moved = mesh.with_vertices(mesh.vertices @ rot.T + shift)
+    for smoother in (smooth, smart_laplace):
+        got, want = smoother(moved), smoother(mesh)
+        assert np.allclose(got.mesh.vertices, want.mesh.vertices @ rot.T + shift,
+                           rtol=0.0, atol=1e-12)
+        assert got.iterations_run == want.iterations_run
+        assert got.guard_resets == want.guard_resets
 
 
 JUNK = ["nan", "1e999", "-1", "99999999", "End", ""]

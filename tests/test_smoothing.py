@@ -47,6 +47,8 @@ from getme.smoothing import (
     _Transform,
     _vertex_sums,
 )
+from test_geometry import nan_canonical_bytes
+from test_mesh import per_vertex
 
 
 def all_boundary(mesh):
@@ -423,12 +425,6 @@ def test_smoothers_invert_no_positive_hex_corner():
         assert np.all(hex_corner_dets(after.element_points())[before > 0] > 0)
 
 
-def per_vertex(grouped):
-    """A `_group` result split into one array per key."""
-    values, offsets = grouped
-    return np.split(values, offsets[1:-1])
-
-
 def reference_colours(mesh):
     """The movable vertices in (colour, index) order, as lists per colour:
     each vertex, in index order, takes the lowest colour that no element
@@ -673,7 +669,7 @@ RIGID_MOTION_MESHES = {
 }
 
 
-@pytest.mark.parametrize("preset", ["standard", "adaptive"])
+@pytest.mark.parametrize("preset", ["standard", "adaptive", "smart-laplace"])
 @pytest.mark.parametrize("kind", list(RIGID_MOTION_MESHES))
 def test_smoothing_commutes_with_rigid_motions(kind, preset):
     generator, res, jitter = RIGID_MOTION_MESHES[kind]
@@ -689,9 +685,10 @@ def test_smoothing_commutes_with_rigid_motions(kind, preset):
         shift = np.array([3.0, -2.0, 0.5])
     cfg = (adaptive_config(mesh.element_type) if preset == "adaptive"
            else SmootherConfig())
+    smoother = smart_laplace if preset == "smart-laplace" else smooth
     moved = mesh.with_vertices(mesh.vertices @ rot.T + shift)
-    a = smooth(moved, cfg)
-    b = smooth(mesh, cfg)
+    a = smoother(moved, cfg)
+    b = smoother(mesh, cfg)
     assert np.allclose(a.mesh.vertices, b.mesh.vertices @ rot.T + shift,
                        atol=1e-9)
     assert a.iterations_run == b.iterations_run
@@ -779,13 +776,6 @@ def reference_workspace(element_type, shape):
     """A stand-in for `_Transform` that calls `reference_transform`."""
     return lambda points, params, inner, orientation: reference_transform(
         points, element_type, params, inner, orientation)
-
-
-def nan_canonical_bytes(a):
-    """The bytes of `a` with every NaN made the same NaN.  Which NaN an
-    operation on NaN returns depends on the loop numpy picks for the memory
-    layout and length, not on the formulas; NaN rows never reach vertices."""
-    return np.where(np.isnan(a), np.nan, a).tobytes()
 
 
 LAYOUT_MESHES = {

@@ -1,8 +1,8 @@
 """Command-line driver: mesh generation, smoothing, quality reporting and
 oscillation-model data export.
 
-Exit codes: 0 success, 1 usage error, 2 I/O or parse error, a facet shared
-by more than two elements or an input to smooth without elements, 3 the
+Exit codes: 0 success, 1 usage error, 2 I/O or parse error (a file without
+elements among them) or a facet shared by more than two elements, 3 the
 smoothed mesh still contains invalid elements (the mesh is written
 regardless).
 `getme smooth` pins the detected domain boundary of a file without boundary
@@ -110,23 +110,6 @@ def _build_parser():
     return parser
 
 
-def _smoother_overrides(args):
-    """`getme smooth`'s SmootherConfig keywords, checked before the input is
-    read; only the adaptive preset waits for the element type."""
-    overrides = dict(max_iterations=args.max_iter,
-                     error_bound=args.error_bound, guard=args.guard)
-    if args.inner is not None:
-        overrides["inner_iterations"] = args.inner
-    if (args.alpha0 is None) != (args.alpha1 is None):
-        raise GetmeError("--alpha0 and --alpha1 must be given together")
-    if args.alpha0 is not None:
-        overrides["params"] = AdaptiveParams(args.alpha0, args.alpha1)
-    cfg = SmootherConfig(**overrides)
-    if args.smoother != "smart-laplace":   # SmartLaplace ignores the gains
-        cfg.params.require_transform_valid()
-    return overrides
-
-
 def _write_report(report, path):
     if path:
         with open(path, "w", encoding="ascii") as fh:
@@ -135,12 +118,18 @@ def _write_report(report, path):
 
 def _cmd_smooth(args):
     _codec(args.outfile, args.format)   # an unusable --out fails first
-    overrides = _smoother_overrides(args)
+    if (args.alpha0 is None) != (args.alpha1 is None):
+        raise GetmeError("--alpha0 and --alpha1 must be given together")
+    settings = dict(inner_iterations=args.inner, max_iterations=args.max_iter,
+                    error_bound=args.error_bound, guard=args.guard)
+    if args.alpha0 is not None:
+        settings["params"] = AdaptiveParams(args.alpha0, args.alpha1)
+    cfg = SmootherConfig(**settings)   # checked before the input is read
+    if args.smoother != "smart-laplace":   # SmartLaplace ignores the gains
+        cfg.params.require_transform_valid()
     mesh = read_mesh(args.infile, args.format)
-    if not len(mesh.elements):   # the file is at fault, as on a parse error
-        print(f"error: {args.infile} has no elements to smooth",
-              file=sys.stderr)
-        return 2
+    if args.smoother == "getme-adaptive":   # its preset needs the element type
+        cfg = adaptive_config(mesh.element_type, **settings)
     if not mesh.boundary_given:
         mesh = Mesh(mesh.vertices, mesh.elements, mesh.element_type,
                     detect_boundary(mesh))
@@ -149,12 +138,8 @@ def _cmd_smooth(args):
               file=sys.stderr)
     if mesh.boundary_mask.all():
         print("note: every vertex is pinned, so none moves", file=sys.stderr)
-    if args.smoother == "smart-laplace":
-        result = smart_laplace(mesh, SmootherConfig(**overrides))
-    elif args.smoother == "getme-adaptive":
-        result = smooth(mesh, adaptive_config(mesh.element_type, **overrides))
-    else:
-        result = smooth(mesh, SmootherConfig(**overrides))
+    smoother = smart_laplace if args.smoother == "smart-laplace" else smooth
+    result = smoother(mesh, cfg)
     write_mesh(result.mesh, args.outfile, args.format)
     _write_report(result.report, args.report)
     print(

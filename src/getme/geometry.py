@@ -283,6 +283,16 @@ def distortion(tri):
     return lengths.min(axis=-1) / lmax
 
 
+def det3(m):
+    """Determinants of the 3x3 matrices in `m`, shape (..., 3, 3), by cofactor
+    expansion along the first row.  Every volume measure takes its
+    determinant from here; a non-finite entry gives a non-finite result."""
+    a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
+    d, e, f = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
+    g, h, i = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 # ---------------------------------------------------------------------------
 # Hexahedron / octahedron duality
 # ---------------------------------------------------------------------------
@@ -330,10 +340,10 @@ def hex_to_octahedron(hexahedron):
         raise ValueError("expected an (8, 3) vertex array")
     verts = hex_face_barycenters(hexahedron)
     tris = verts[OCTAHEDRON_FACES]
-    areas = triangle_areas(tris)
+    volumes = det3(tris - verts.mean(axis=0))
     scale = edge_lengths(tris).max()
-    if np.any(areas <= EPS_DEGENERATE * scale * scale):
-        raise DegenerateElement("octahedron face barycenters are collinear")
+    if not np.all(volumes > EPS_DEGENERATE * scale ** 3):
+        raise DegenerateElement("an octahedron face spans no volume")
     return verts, OCTAHEDRON_FACES.copy()
 
 

@@ -43,7 +43,6 @@ VTK_CELL_TYPES = {
     12: ElementType.HEX,
 }
 VTK_CELL_CODE = {v: k for k, v in VTK_CELL_TYPES.items()}
-_NO_CELLS = "a VTK file gives its element type only in CELL_TYPES"
 
 #: The line breaks of str.splitlines() ("\r\n" aside), each whitespace to
 #: str.split().  A `#` comment runs to the end of its line.
@@ -303,7 +302,8 @@ def read_vtk(text):
         raise tok.error(f"mixed cell types {types}", cls=MixedElementTypes)
     code = types[0] if types else None
     if code not in VTK_CELL_TYPES:
-        raise tok.error(f"no cells, and {_NO_CELLS}" if code is None else
+        raise tok.error("no cells, and a VTK file gives its element type only "
+                        "in CELL_TYPES" if code is None else
                         f"unsupported VTK cell type {code}",
                         cls=UnsupportedElementType)
     etype = VTK_CELL_TYPES[code]
@@ -397,8 +397,5 @@ def read_mesh(path, format=None):
 def write_mesh(mesh, path, format=None):
     """Write a mesh file; the format defaults to the file extension."""
     _, writer = _codec(path, format)
-    if writer is write_vtk and not len(mesh.elements):
-        raise InvalidMesh("a mesh without elements cannot be written as "
-                          f"VTK: {_NO_CELLS}")
     with open(path, "w", encoding="ascii") as fh:
         writer(mesh, fh)

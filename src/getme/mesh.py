@@ -9,7 +9,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import InvalidMesh, InvalidTopology
-from .geometry import EPS_DEGENERATE, HEX_CORNER_TETS, HEX_FACES
+from .geometry import EPS_DEGENERATE, HEX_CORNER_TETS, HEX_FACES, det3
 
 
 class ElementType(enum.Enum):
@@ -70,12 +70,13 @@ class Mesh:
             raise InvalidMesh(
                 f"{element_type.value} elements need {k} vertex indices each"
             )
-        if self.elements.size:
-            if self.elements.min() < 0 or self.elements.max() >= len(self.vertices):
-                raise InvalidMesh("element index out of range")
-            cols = _sorted_columns(self.elements.T)
-            if reduce(np.logical_or, map(np.equal, cols[1:], cols[:-1])).any():
-                raise InvalidMesh("element repeats a vertex index")
+        if not len(self.elements):
+            raise InvalidMesh("a mesh needs at least one element")
+        if self.elements.min() < 0 or self.elements.max() >= len(self.vertices):
+            raise InvalidMesh("element index out of range")
+        cols = _sorted_columns(self.elements.T)
+        if reduce(np.logical_or, map(np.equal, cols[1:], cols[:-1])).any():
+            raise InvalidMesh("element repeats a vertex index")
         if element_type in (ElementType.TET, ElementType.HEX) and self.dimension != 3:
             raise InvalidMesh(f"{element_type.value} meshes must be 3D")
         if element_type is ElementType.QUAD and self.dimension != 2:
@@ -230,16 +231,6 @@ def _element_scales(points):
     return reduce(np.maximum, span.T)
 
 
-def det3(m):
-    """Determinants of the 3x3 matrices in `m`, shape (..., 3, 3), by cofactor
-    expansion along the first row.  Every volume measure takes its
-    determinant from here; a non-finite entry gives a non-finite result."""
-    a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
-    d, e, f = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
-    g, h, i = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 def dets(m):
     """Determinants of the 2x2 or 3x3 matrices in `m`, shape (..., d, d):
     the one kernel of the corner measures and of quality."""
@@ -297,8 +288,6 @@ def validate(mesh):
     (NaN, from overflow) elements: smallest corner determinant not above
     EPS_DEGENERATE * scale**dim.  Reporting only; never raises for bad
     elements, but a 3D triangle mesh raises InvalidMesh."""
-    if not len(mesh.elements):
-        return []
     points = mesh.element_points()
     with np.errstate(over="ignore", invalid="ignore"):   # overflow is NaN
         measures = element_signed_measures(points,

@@ -70,12 +70,14 @@ class QualityReport:
 
     @classmethod
     def from_qualities(cls, qualities, iteration_trace=None):
+        """The report of one or more qualities: a mesh has at least one
+        element."""
         qualities = np.asarray(qualities, dtype=float)
         counts, _ = np.histogram(qualities, bins=HISTOGRAM_BINS, range=(0.0, 1.0))
         return cls(
             per_element=qualities,
-            mean=float(qualities.mean()) if qualities.size else 0.0,
-            min=float(qualities.min()) if qualities.size else 0.0,
+            mean=float(qualities.mean()),
+            min=float(qualities.min()),
             histogram=counts.tolist(),
             iteration_trace=list(iteration_trace or []),
         )

@@ -13,10 +13,9 @@ their moves through one accept step (`_accept`): a vertex whose proposal
 is not finite stays, and an element goes back if a guarded corner (one
 not <= 0 in the accepted state) ends not positive, so a guarded run adds
 no inverted corner but may repair one that came in inverted.  SmartLaplace
-sweeps one colour of a greedy vertex colouring at a time.  Meshes must
-have elements, and triangle meshes must be planar:
-`element_signed_measures` refuses 3D triangles, since nothing here
-projects a moved vertex back onto a surface.
+sweeps one colour of a greedy vertex colouring at a time.  Triangle
+meshes must be planar: `element_signed_measures` refuses 3D triangles,
+since nothing here projects a moved vertex back onto a surface.
 """
 
 import math
@@ -24,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidMesh
 from .geometry import (
     AdaptiveParams,
     OCTAHEDRON_FACES,
@@ -87,6 +85,8 @@ class SmootherConfig:
     guard: str = GUARD_RESET
 
     def __post_init__(self):
+        if not isinstance(self.params, AdaptiveParams):
+            raise ValueError("params must be an AdaptiveParams")
         if self.inner_iterations is not None and not (
                 _is_integer(self.inner_iterations)
                 and self.inner_iterations >= 1):
@@ -267,8 +267,6 @@ def _iterate(mesh, cfg, steps):
     the yielded points and stops after `cfg.max_iterations`, or once the
     mean quality gains less than `cfg.error_bound` (or NaN).
     """
-    if not len(mesh.elements):
-        raise InvalidMesh("cannot smooth a mesh without elements")
     etype, verts = mesh.element_type, mesh.vertices
     q = element_qualities(mesh.element_points(), etype)
     trace = [(0, float(q.mean()), float(q.min()))]

@@ -123,19 +123,26 @@ def test_smooth_exits_2_on_a_non_manifold_file(tmp_path, capsys, suffix):
     assert not s.exists()
 
 
+#: A Medit file of three vertices and "Triangles 0", and the parse error
+#: that every subcommand reading it exits 2 with.
+NO_ELEMENTS = ("MeshVersionFormatted 2\nDimension\n2\nVertices\n3\n"
+               "0 0 0\n1 0 0\n0 1 0\nTriangles\n0\nEnd\n")
+NO_ELEMENTS_ERROR = ("error: line 11: inconsistent mesh data: "
+                     "a mesh needs at least one element\n")
+
+
 @pytest.mark.parametrize("smoother", ["getme", "getme-adaptive",
                                       "smart-laplace"])
 def test_smooth_exits_2_on_a_file_without_elements(tmp_path, capsys,
                                                    smoother):
-    # three vertices and "Triangles 0": the input file is at fault, so the
-    # command refuses it before the boundary note and writes no --out
-    m, s = tmp_path / "empty.mesh", tmp_path / "out.mesh"
-    write_mesh(Mesh([[0, 0], [1, 0], [0, 1]], np.empty((0, 3)), "triangle"), m)
-    assert "Triangles\n0\n" in m.read_text()
+    # a mesh has at least one element, so the reader refuses the file
+    # before the boundary note and no --out or --report is written
+    m, s, r = (tmp_path / name for name in ("empty.mesh", "out.mesh", "r.json"))
+    m.write_text(NO_ELEMENTS)
     assert run(["smooth", "--in", str(m), "--smoother", smoother,
-                "--out", str(s)]) == 2
-    assert capsys.readouterr().err == f"error: {m} has no elements to smooth\n"
-    assert not s.exists()
+                "--out", str(s), "--report", str(r)]) == 2
+    assert capsys.readouterr().err == NO_ELEMENTS_ERROR
+    assert not s.exists() and not r.exists()
 
 
 @pytest.mark.parametrize("module", ["getme", "getme.cli"])
@@ -290,6 +297,11 @@ def test_io_errors_exit_2(tmp_path, capsys):
     bad.write_text("MeshVersionFormatted 2\nDimension\n2\nVertices\noops\n")
     assert run(["quality", "--in", str(bad)]) == 2
     assert "line" in capsys.readouterr().err
+    empty, report = tmp_path / "empty.mesh", tmp_path / "r.json"
+    empty.write_text(NO_ELEMENTS)
+    assert run(["quality", "--in", str(empty), "--report", str(report)]) == 2
+    assert capsys.readouterr() == ("", NO_ELEMENTS_ERROR)
+    assert not report.exists()
 
 
 def refuse(monkeypatch, *names):

@@ -229,11 +229,12 @@ def test_hex_to_octahedron_unit_cube():
 def test_hex_duality_refuses_a_wrong_shape_or_a_collapsed_hex():
     with pytest.raises(ValueError, match=r"expected an \(8, 3\) vertex array"):
         hex_to_octahedron(UNIT_CUBE[:7])
-    # a hex flattened into a plane still has face barycenters in general
-    # position; one collapsed onto a segment has none
-    segment = UNIT_CUBE * [1.0, 0.0, 0.0]
-    with pytest.raises(DegenerateElement, match="barycenters are collinear"):
-        hex_to_octahedron(segment)
+    # each octahedron face spans no volume with the centroid of a hex
+    # flattened into a plane or collapsed onto a segment
+    for squash in ([1.0, 1.0, 0.0], [1.0, 0.0, 0.0]):
+        with pytest.raises(DegenerateElement,
+                           match="an octahedron face spans no volume"):
+            hex_to_octahedron(UNIT_CUBE * squash)
 
 
 def test_single_triangle_helpers_refuse_bad_input():

@@ -191,23 +191,30 @@ def test_vtk_body_starts_after_the_fourth_line_break(brk):
 
 
 @pytest.mark.parametrize("kind", ["jittered-square-tri", "cube-tet"])
-def test_a_mesh_without_elements_is_medit_only(tmp_path, kind):
+def test_a_file_without_elements_is_refused(kind):
+    # a mesh has at least one element, so neither reader builds one of none
     mesh = generate(GeneratorSpec(kind, resolution=2))
-    bare = Mesh(mesh.vertices, mesh.elements[:0], mesh.element_type, [0])
-    write_mesh(bare, tmp_path / "bare.mesh")
-    back = read_mesh(tmp_path / "bare.mesh")
-    assert back == bare and back.elements.shape == bare.elements.shape
-    # a VTK file gives the element type of each cell, and of no other
-    path = tmp_path / "bare.vtk"
-    with pytest.raises(InvalidMesh, match="without elements .*CELL_TYPES"):
-        write_mesh(bare, path)
-    assert not path.exists()
+    with pytest.raises(InvalidMesh, match="a mesh needs at least one element"):
+        Mesh(mesh.vertices, mesh.elements[:0], mesh.element_type, [0])
     text = io.StringIO()
-    write_vtk(bare, text)
-    assert "CELLS 0 0\nCELL_TYPES 0\n" in text.getvalue()
+    write_medit(mesh, text)
+    section = f"\n{MEDIT_SECTION[mesh.element_type]}\n"
+    head = text.getvalue().split(section)[0]
+    with pytest.raises(ParseError) as err:
+        read_medit(f"{head}{section}0\nEnd\n")
+    line = head.count("\n") + 4   # End, two lines below the section name
+    assert type(err.value) is ParseError
+    assert str(err.value) == (f"line {line}: inconsistent mesh data: "
+                              "a mesh needs at least one element")
+    # a VTK file gives the element type of each cell, and of no other
+    text = io.StringIO()
+    write_vtk(mesh, text)
+    head, cells = text.getvalue().split("CELLS ")
+    point_data = cells[cells.index("POINT_DATA"):]
+    bare = f"{head}CELLS 0 0\nCELL_TYPES 0\n{point_data}"
     with pytest.raises(UnsupportedElementType,
                        match="no cells, and .*CELL_TYPES") as err:
-        read_vtk(text.getvalue())
+        read_vtk(bare)
     assert "None" not in str(err.value)
 
 

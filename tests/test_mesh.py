@@ -87,8 +87,8 @@ def test_mesh_refusals_name_their_cause():
         Mesh(SQUARE_2TRI.vertices, [[0, 1, 2, 3]], "triangle")
     assert SQUARE_2TRI.__eq__(5) is NotImplemented
     assert SQUARE_2TRI != 5
-    assert validate(Mesh(SQUARE_2TRI.vertices, np.empty((0, 3)),
-                         "triangle")) == []
+    with pytest.raises(InvalidMesh, match="a mesh needs at least one element"):
+        Mesh(SQUARE_2TRI.vertices, np.empty((0, 3)), "triangle")
 
 
 def test_with_vertices_keeps_flags():
@@ -124,8 +124,6 @@ def test_mesh_accepts_integral_and_empty_indices():
     for empty in ((), [], set(), np.empty(0)):
         got = Mesh(verts, [(0, 1, 2)], "triangle", boundary_vertices=empty)
         assert not got.boundary_mask.any()
-    got = Mesh(verts, np.empty((0, 3)), "triangle")
-    assert got.elements.shape == (0, 3) and got.elements.dtype == np.int64
 
 
 def test_with_vertices_checks_only_the_new_coordinates():
